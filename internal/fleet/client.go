@@ -160,10 +160,11 @@ func (c *Client) CheckpointFile(id string) ([]byte, error) {
 	return c.raw("/api/v1/campaigns/" + id + "/checkpoint")
 }
 
-// Acquire asks for a lease. A nil grant with a nil error means the server
-// has no work to offer right now.
-func (c *Client) Acquire(worker string) (*LeaseGrant, error) {
-	req, err := json.Marshal(acquireRequest{Worker: worker})
+// Acquire asks for a lease, listing the corpus prefixes the worker holds
+// (nil for none). A nil grant with a nil error means the server has no work
+// to offer right now.
+func (c *Client) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, error) {
+	req, err := json.Marshal(acquireRequest{Worker: worker, Held: held})
 	if err != nil {
 		return nil, err
 	}

@@ -45,6 +45,8 @@ var (
 	// errConflict maps to 409: a resource that exists but is not in the
 	// right state (e.g. the result of a still-running campaign).
 	errConflict = errors.New("conflict")
+	// errTooLarge maps to 413: a request body over maxRequestBytes.
+	errTooLarge = errors.New("request body too large")
 )
 
 // Fleet metric names (exposed on the server's /metrics handler, alongside
@@ -292,8 +294,18 @@ type LeaseGrant struct {
 	// TTLMillis is the lease time-to-live; workers renew at a fraction of
 	// it while executing.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Lease is the shard-batch work assignment for fuzz.ExecuteLease.
+	// Lease is the shard-batch work assignment for fuzz.ExecuteLease. Its
+	// corpus starts past the prefix the worker's acquire proved it holds.
 	Lease fuzz.Lease `json:"lease"`
+}
+
+// HeldPrefix is one entry of an acquire request's held list: a campaign
+// corpus prefix the worker already holds decoded from an earlier lease.
+type HeldPrefix struct {
+	// Campaign is the campaign ID the prefix belongs to.
+	Campaign string `json:"campaign"`
+	// CorpusPrefix is the held seed count and digest.
+	fuzz.CorpusPrefix
 }
 
 // Health is the healthz endpoint's body.
@@ -341,7 +353,6 @@ type lease struct {
 	attempt int
 	expires time.Time
 	worker  string
-	payload *fuzz.Lease
 }
 
 // Controller owns all campaign and lease state behind the HTTP API. All
@@ -427,6 +438,9 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 
 	if (spec.DUT == "") == (spec.FIRRTL == "") {
 		return nil, fmt.Errorf("%w: spec must set exactly one of dut, firrtl", errBadRequest)
+	}
+	if spec.Options.BatchSize > maxBatchSize {
+		return nil, fmt.Errorf("%w: batch_size %d exceeds %d (lease results must fit the request body cap)", errBadRequest, spec.Options.BatchSize, maxBatchSize)
 	}
 
 	c := &campaign{
@@ -600,8 +614,19 @@ func (ct *Controller) Result(id string) (*Result, error) {
 
 // Checkpoint returns a fuzz campaign's state as an encoded checkpoint file
 // (the same format fuzz.Checkpoint.Save writes), captured at the last
-// closed round barrier.
+// closed round barrier. Only the snapshot is taken under the controller
+// lock; the snapshot shares no mutable state with the campaign, so the
+// encoding runs after unlocking and never stalls acquires and reports.
 func (ct *Controller) Checkpoint(id string) ([]byte, error) {
+	cp, err := ct.snapshot(id)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Encode()
+}
+
+// snapshot captures a fuzz campaign's checkpoint under the lock.
+func (ct *Controller) snapshot(id string) (*fuzz.Checkpoint, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
@@ -612,14 +637,16 @@ func (ct *Controller) Checkpoint(id string) ([]byte, error) {
 	if c.kind != "fuzz" {
 		return nil, fmt.Errorf("%w: campaign %q is analysis-only and has no checkpoint", errNotFound, id)
 	}
-	return c.lc.Snapshot(c.lc.Finished()).Encode()
+	return c.lc.Snapshot(c.lc.Finished()), nil
 }
 
 // Acquire offers a lease to a worker: the first open, un-leased shard of
 // the oldest running campaign. A nil grant (and nil error) means no work is
 // available right now — the campaign set is drained, draining, or every
-// open shard is already leased out.
-func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
+// open shard is already leased out. held lists the corpus prefixes the
+// worker holds; the entry for the granted campaign, if any, lets the lease
+// carry only the seeds past it.
+func (ct *Controller) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
@@ -634,7 +661,7 @@ func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
 			if _, leased := c.granted[shard]; leased {
 				continue
 			}
-			payload, err := c.lc.Lease(shard)
+			payload, err := c.lc.Lease(shard, heldPrefix(held, c.id))
 			if err != nil {
 				return nil, err
 			}
@@ -644,7 +671,6 @@ func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
 				attempt: c.attempts[shard] + 1,
 				expires: ct.now().Add(ct.cfg.ttl()),
 				worker:  worker,
-				payload: payload,
 			}
 			c.granted[shard] = l
 			ct.leases[l.id] = l
@@ -662,6 +688,16 @@ func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
 		}
 	}
 	return nil, nil
+}
+
+// heldPrefix returns the held entry for a campaign, or the empty prefix.
+func heldPrefix(held []HeldPrefix, campaign string) fuzz.CorpusPrefix {
+	for _, h := range held {
+		if h.Campaign == campaign {
+			return h.CorpusPrefix
+		}
+	}
+	return fuzz.CorpusPrefix{}
 }
 
 // Renew extends an outstanding lease's TTL.

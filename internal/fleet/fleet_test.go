@@ -86,14 +86,14 @@ func driveCampaign(t *testing.T, client *Client) {
 	t.Helper()
 	factory := fuzz.SharedAnalysisFactory(liteSoC)
 	for {
-		g, err := client.Acquire("test-driver")
+		g, err := client.Acquire("test-driver", nil)
 		if err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
 		if g == nil {
 			return
 		}
-		res, err := fuzz.ExecuteLease(factory, g.Shape, 1, &g.Lease)
+		res, err := fuzz.ExecuteLease(factory, g.Shape, 1, &g.Lease, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
 		}
@@ -136,7 +136,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	}
 
 	// Renewal works for an outstanding lease, 409s for an unknown one.
-	g, err := client.Acquire("w0")
+	g, err := client.Acquire("w0", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
@@ -152,7 +152,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g.Shape, 1, &g.Lease)
+	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g.Shape, 1, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -275,17 +275,17 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	g1, err := client.Acquire("doomed")
+	g1, err := client.Acquire("doomed", nil)
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g1.Shape, 1, &g1.Lease)
+	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g1.Shape, 1, &g1.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond) // let the lease expire
 
-	g2, err := client.Acquire("healthy")
+	g2, err := client.Acquire("healthy", nil)
 	if err != nil || g2 == nil {
 		t.Fatalf("re-acquire after expiry: grant=%v err=%v", g2, err)
 	}
@@ -332,7 +332,7 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 
 	// Grab shard 0's lease and never report it; MaxRetries < 0 means the
 	// first expiry abandons the shard.
-	g, err := client.Acquire("doomed")
+	g, err := client.Acquire("doomed", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
@@ -385,7 +385,7 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 				// Simulate a worker that acquires a lease and dies: the
 				// lease is never reported and must expire and be re-offered
 				// without perturbing the campaign.
-				g, err := client.Acquire("killed-worker")
+				g, err := client.Acquire("killed-worker", nil)
 				if err != nil || g == nil {
 					t.Fatalf("Acquire for doomed worker: grant=%v err=%v", g, err)
 				}
@@ -474,7 +474,7 @@ func TestDrain(t *testing.T) {
 	if err := client.Drain(true); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if g, err := client.Acquire("w"); err != nil || g != nil {
+	if g, err := client.Acquire("w", nil); err != nil || g != nil {
 		t.Fatalf("draining server offered work: grant=%v err=%v", g, err)
 	}
 	h, err := client.Health()
@@ -484,7 +484,7 @@ func TestDrain(t *testing.T) {
 	if err := client.Drain(false); err != nil {
 		t.Fatalf("Drain(false): %v", err)
 	}
-	if g, err := client.Acquire("w"); err != nil || g == nil {
+	if g, err := client.Acquire("w", nil); err != nil || g == nil {
 		t.Fatalf("un-drained server offered no work: grant=%v err=%v", g, err)
 	}
 }
@@ -509,7 +509,7 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 
 	// The first grant carries the FIRRTL design itself; workers elaborate it
 	// rather than consulting their registry.
-	g, err := client.Acquire("w-inspect")
+	g, err := client.Acquire("w-inspect", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
@@ -522,7 +522,7 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LaneDUTFactory: %v", err)
 	}
-	res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 64, &g.Lease)
+	res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 64, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLeaseExec: %v", err)
 	}

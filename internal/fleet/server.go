@@ -56,17 +56,37 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, errNotFound):
 		status = http.StatusNotFound
+	case errors.Is(err, errTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, errGone), errors.Is(err, errConflict):
 		status = http.StatusConflict
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeJSON strictly decodes a request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request bodies are read through a constant cap. The largest legitimate
+// body is a LeaseResult: one outcome per iteration of the batch, plus at
+// most one retained seed each. The largest outcome of a 3000-iteration
+// lite-core campaign measured 4.6 KB (at batches of 32 and 256), so
+// maxEntryBytes leaves 7x headroom for head chains grown over longer
+// campaigns, and Submit bounds the batch at maxBatchSize.
+const (
+	maxBatchSize    = 1024
+	maxEntryBytes   = 32 << 10
+	maxRequestBytes = 2 * maxBatchSize * maxEntryBytes // 64 MiB
+)
+
+// decodeJSON strictly decodes a request body of at most maxRequestBytes;
+// a larger body is refused with 413 once the cap is reached, unread beyond
+// it.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+		}
 		return fmt.Errorf("%w: body: %v", errBadRequest, err)
 	}
 	return nil
@@ -78,7 +98,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := decodeJSON(r, &spec); err != nil {
+	if err := decodeJSON(w, r, &spec); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -139,15 +159,18 @@ type acquireRequest struct {
 	// Worker is the worker's self-assigned identifier, recorded on the
 	// lease for operator visibility.
 	Worker string `json:"worker"`
+	// Held lists the corpus prefixes the worker holds, sorted by campaign;
+	// a grant for one of those campaigns carries only the seeds past it.
+	Held []HeldPrefix `json:"held,omitempty"`
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	g, err := s.ct.Acquire(req.Worker)
+	g, err := s.ct.Acquire(req.Worker, req.Held)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -176,7 +199,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var res fuzz.LeaseResult
-	if err := decodeJSON(r, &res); err != nil {
+	if err := decodeJSON(w, r, &res); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -195,7 +218,7 @@ type drainRequest struct {
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req drainRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"sonar/internal/firrtl"
@@ -34,16 +35,74 @@ type WorkerOptions struct {
 // tolerates (server restarting, transient network) before giving up.
 const maxAcquireFailures = 50
 
+// maxHeldCorpora is how many campaigns' corpus prefixes a worker keeps
+// decoded. Beyond it the least recently granted campaign's prefix is
+// dropped; that campaign's next lease then carries its full corpus.
+const maxHeldCorpora = 4
+
+// heldEntry is one campaign's decoded corpus prefix in a worker's cache.
+type heldEntry struct {
+	campaign string
+	corpus   *fuzz.HeldCorpus
+	lastUse  int // grant count at the campaign's latest grant
+}
+
+// heldCache is a worker's per-campaign corpus prefixes: what lets each
+// lease carry only the seeds merged since the worker's previous one.
+type heldCache struct {
+	entries []heldEntry
+	grants  int
+}
+
+// prefixes returns the acquire body's held list, sorted by campaign.
+func (hc *heldCache) prefixes() []HeldPrefix {
+	var held []HeldPrefix
+	for _, e := range hc.entries {
+		if p := e.corpus.Prefix(); p.Seeds > 0 {
+			held = append(held, HeldPrefix{Campaign: e.campaign, CorpusPrefix: p})
+		}
+	}
+	sort.Slice(held, func(i, j int) bool { return held[i].Campaign < held[j].Campaign })
+	return held
+}
+
+// granted returns the held corpus of a campaign that was just granted a
+// lease, adding it — and evicting the least recently granted campaign
+// beyond maxHeldCorpora — when it is new.
+func (hc *heldCache) granted(campaign string) *fuzz.HeldCorpus {
+	hc.grants++
+	for i := range hc.entries {
+		if hc.entries[i].campaign == campaign {
+			hc.entries[i].lastUse = hc.grants
+			return hc.entries[i].corpus
+		}
+	}
+	if len(hc.entries) == maxHeldCorpora {
+		lru := 0
+		for i, e := range hc.entries {
+			if e.lastUse < hc.entries[lru].lastUse {
+				lru = i
+			}
+		}
+		hc.entries = append(hc.entries[:lru], hc.entries[lru+1:]...)
+	}
+	e := heldEntry{campaign: campaign, corpus: &fuzz.HeldCorpus{}, lastUse: hc.grants}
+	hc.entries = append(hc.entries, e)
+	return e.corpus
+}
+
 // RunWorker runs the lease-execution loop against a campaign server until
 // the context is cancelled (returns nil), MaxLeases is reached, or an
 // unrecoverable error occurs. It returns the number of leases executed.
 //
-// The loop is: acquire → elaborate the granted DUT (once per design name —
-// the contention-point analysis is shared across leases) → execute the
-// lease → report. While executing, a background goroutine renews the lease
-// at a third of its TTL so slow batches survive; if a report still races an
-// expiry the server answers 409, the result is discarded, and the re-offered
-// lease re-executes deterministically elsewhere — campaign results are
+// The loop is: acquire → elaborate the granted DUT (once per design name;
+// the DUT is reused across leases) → execute the lease → report. The worker keeps each leased campaign's decoded corpus
+// (up to maxHeldCorpora campaigns) and lists it in every acquire, so a
+// lease only ships the seeds merged since the worker's previous one. While
+// executing, a background goroutine renews the lease at a third of its TTL
+// so slow batches survive; if a report still races an expiry the server
+// answers 409, the result is discarded, and the re-offered lease
+// re-executes deterministically elsewhere — campaign results are
 // unaffected.
 func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, error) {
 	poll := opt.Poll
@@ -54,14 +113,15 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 	if duts == nil {
 		duts = Builtins()
 	}
-	factories := make(map[string]func() fuzz.Executor)
+	executors := make(map[string]fuzz.Executor)
+	var held heldCache
 	executed := 0
 	failures := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return executed, nil
 		}
-		g, err := client.Acquire(opt.ID)
+		g, err := client.Acquire(opt.ID, held.prefixes())
 		if err != nil {
 			failures++
 			if failures >= maxAcquireFailures {
@@ -84,11 +144,14 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 		// netlist executor, cached per campaign (two campaigns may submit
 		// different sources under the same circuit name); named grants
 		// resolve against the worker's registry, cached per design name.
+		// The executor is reused across leases, as a local shard worker
+		// reuses its DUT across batches: an execution does not depend on
+		// earlier ones, so no lease pays for building a DUT.
 		key := g.DUT
 		if g.FIRRTL != "" {
 			key = "firrtl/" + g.Campaign
 		}
-		f, ok := factories[key]
+		ex, ok := executors[key]
 		if !ok {
 			if g.FIRRTL != "" {
 				src := g.FIRRTL
@@ -98,16 +161,15 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 				if err != nil {
 					return executed, fmt.Errorf("fleet: worker %s: lease %s: firrtl: %w", opt.ID, g.LeaseID, err)
 				}
-				f = lf
+				ex = lf()
 			} else {
 				mk, known := duts[g.DUT]
 				if !known {
 					return executed, fmt.Errorf("fleet: worker %s: server granted unknown DUT %q (registry mismatch)", opt.ID, g.DUT)
 				}
-				df := fuzz.SharedAnalysisFactory(mk)
-				f = func() fuzz.Executor { return df() }
+				ex = fuzz.NewDUT(mk())
 			}
-			factories[key] = f
+			executors[key] = ex
 		}
 
 		lanes := opt.Lanes
@@ -115,11 +177,12 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 			lanes = g.Lanes
 		}
 		stopRenew := renewLoop(client, g)
-		res, err := fuzz.ExecuteLeaseExec(f, g.Shape, lanes, &g.Lease)
+		res, err := fuzz.ExecuteLeaseExec(func() fuzz.Executor { return ex }, g.Shape, lanes, &g.Lease, held.granted(g.Campaign))
 		stopRenew()
 		if err != nil {
-			// A lease the engine rejects (shape/corpus mismatch) cannot
-			// succeed on retry either; let it expire and surface the error.
+			// A lease the engine rejects (shape mismatch, a corpus base the
+			// worker does not hold) cannot succeed on retry either; let it
+			// expire and surface the error.
 			return executed, fmt.Errorf("fleet: worker %s: lease %s: %w", opt.ID, g.LeaseID, err)
 		}
 		if err := client.Report(g.LeaseID, res); err != nil {

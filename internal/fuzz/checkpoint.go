@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -126,7 +127,7 @@ type SeedWire struct {
 
 // wireSeed converts a retained seed to its wire form.
 func wireSeed(s *Seed) SeedWire {
-	return SeedWire{TC: s.TC.Marshal(), Intvls: sortIntvls(s.Intvls), Dir: s.Dir, Target: s.Target}
+	return SeedWire{TC: s.marshal(), Intvls: sortIntvls(s.Intvls), Dir: s.Dir, Target: s.Target}
 }
 
 // seed rebuilds the in-memory seed of a wire entry.
@@ -140,8 +141,8 @@ func (sw *SeedWire) seed() (*Seed, error) {
 
 // CorpusWire is the global corpus in serialized form: the retained seeds in
 // retention order and the per-point global best intervals. It appears in
-// checkpoints and in shard-lease payloads (every lease carries the merged
-// corpus the batch must run against).
+// checkpoints (whole) and in shard-lease payloads, where Seeds may start
+// past the prefix the worker already holds (Lease.Base).
 type CorpusWire struct {
 	// Seeds are the retained seeds in retention order.
 	Seeds []SeedWire `json:"seeds"`
@@ -149,10 +150,11 @@ type CorpusWire struct {
 	Best []PointIntvl `json:"best"`
 }
 
-// newCorpusWire converts a corpus to its wire form.
-func newCorpusWire(c *Corpus) CorpusWire {
-	cw := CorpusWire{Seeds: make([]SeedWire, len(c.seeds)), Best: sortIntvls(c.best)}
-	for i, s := range c.seeds {
+// newCorpusWire converts a corpus to its wire form, leaving out the first
+// from seeds.
+func newCorpusWire(c *Corpus, from int) CorpusWire {
+	cw := CorpusWire{Seeds: make([]SeedWire, len(c.seeds)-from), Best: sortIntvls(c.best)}
+	for i, s := range c.seeds[from:] {
 		cw.Seeds[i] = wireSeed(s)
 	}
 	return cw
@@ -288,7 +290,7 @@ func buildCheckpoint(dut string, opt Options, left, round int, rem []int, cursor
 	if acc.best != nil {
 		cp.Stats.Best = sortIntvls(acc.best)
 	}
-	cp.Corpus = newCorpusWire(global)
+	cp.Corpus = newCorpusWire(global, 0)
 	return cp
 }
 
@@ -389,24 +391,33 @@ func (cp *Checkpoint) validate() error {
 // stream served by the campaign service's checkpoint endpoint can be saved
 // to a file and passed to LoadCheckpoint unchanged.
 func (cp *Checkpoint) Encode() ([]byte, error) {
-	payload, err := json.Marshal(cp)
-	if err != nil {
+	// The header has a fixed width (the CRC is always 8 hex digits), so the
+	// payload is encoded straight after a placeholder and the header filled
+	// in once the CRC is known: one payload-sized buffer instead of a
+	// marshalled payload plus a header-prefixed copy of it.
+	header := func(sum uint32) string {
+		return fmt.Sprintf("%s v%d crc32=%08x\n", checkpointMagic, cp.Version, sum)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(header(0))
+	hlen := buf.Len()
+	if err := json.NewEncoder(&buf).Encode(cp); err != nil {
 		return nil, fmt.Errorf("fuzz: marshal checkpoint: %w", err)
 	}
-	header := fmt.Sprintf("%s v%d crc32=%08x\n", checkpointMagic, cp.Version, crc32.ChecksumIEEE(payload))
-	return append([]byte(header), payload...), nil
+	b := buf.Bytes()
+	b = b[:len(b)-1] // the encoder ends the value with a newline; the format does not
+	copy(b, header(crc32.ChecksumIEEE(b[hlen:])))
+	return b, nil
 }
 
 // Save writes the checkpoint atomically (temp file + fsync + rename) and
 // returns the file size in bytes. The previous checkpoint at path survives
 // any failure.
 func (cp *Checkpoint) Save(path string) (int, error) {
-	payload, err := json.Marshal(cp)
+	data, err := cp.Encode()
 	if err != nil {
-		return 0, fmt.Errorf("fuzz: marshal checkpoint: %w", err)
+		return 0, err
 	}
-	header := fmt.Sprintf("%s v%d crc32=%08x\n", checkpointMagic, cp.Version, crc32.ChecksumIEEE(payload))
-
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".sonar-checkpoint-*")
 	if err != nil {
@@ -418,10 +429,7 @@ func (cp *Checkpoint) Save(path string) (int, error) {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if _, err := f.WriteString(header); err != nil {
-		return cleanup(fmt.Errorf("fuzz: write checkpoint: %w", err))
-	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return cleanup(fmt.Errorf("fuzz: write checkpoint: %w", err))
 	}
 	if err := f.Sync(); err != nil {
@@ -439,7 +447,7 @@ func (cp *Checkpoint) Save(path string) (int, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("fuzz: publish checkpoint: %w", err)
 	}
-	return len(header) + len(payload), nil
+	return len(data), nil
 }
 
 // LoadCheckpoint reads and verifies a checkpoint file: header magic and

@@ -2,6 +2,9 @@ package fuzz
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -110,6 +113,21 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Error("identical paused campaigns wrote different checkpoint files")
+	}
+
+	// The file is the header line over json.Marshal's payload bytes — the
+	// format LoadCheckpoint and older readers check — however it is built.
+	cp, err := LoadCheckpoint(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s v%d crc32=%08x\n%s", checkpointMagic, cp.Version, crc32.ChecksumIEEE(payload), payload)
+	if enc, err := cp.Encode(); err != nil || string(enc) != want || string(a) != want {
+		t.Errorf("checkpoint bytes are not the header over json.Marshal's payload (encode err %v)", err)
 	}
 }
 

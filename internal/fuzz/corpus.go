@@ -3,6 +3,7 @@ package fuzz
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"sonar/internal/monitor"
 )
@@ -19,6 +20,19 @@ type Seed struct {
 	Dir int
 	// Target is the contention point this seed was last mutated towards.
 	Target int
+
+	// text memoizes TC.Marshal(). A retained seed is immutable, yet
+	// checkpoints and lease payloads encode it again and again; the once
+	// keeps the lazy fill race-free for seeds shared across goroutines.
+	textOnce sync.Once
+	text     string
+}
+
+// marshal returns the seed's testcase in Testcase.Marshal form, rendering
+// it on first use only.
+func (s *Seed) marshal() string {
+	s.textOnce.Do(func() { s.text = s.TC.Marshal() })
+	return s.text
 }
 
 // Corpus is the seed corpus with Sonar's retention and selection policies.

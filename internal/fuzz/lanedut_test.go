@@ -211,13 +211,13 @@ func TestNetlistLeaseReExecution(t *testing.T) {
 	if len(shards) == 0 {
 		t.Fatal("no open shards")
 	}
-	l, err := lc.Lease(shards[0])
+	l, err := lc.Lease(shards[0], CorpusPrefix{})
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
 	var wires [][]byte
 	for _, lanes := range []int{1, 7, 64, 64} {
-		res, err := ExecuteLeaseExec(factory, lc.Shape(), lanes, l)
+		res, err := ExecuteLeaseExec(factory, lc.Shape(), lanes, l, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLeaseExec(lanes=%d): %v", lanes, err)
 		}

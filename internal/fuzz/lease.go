@@ -11,10 +11,10 @@ import (
 // local coordinator would hold — per-shard budgets and RNG cursors, the
 // merged corpus, the stats accumulator — and hands out one batch of one
 // shard at a time as a Lease. Any process can execute a lease with
-// ExecuteLease (a pure function of the lease and the campaign shape) and
-// report a LeaseResult back; the LeaseCoordinator folds reports at round
-// barriers in canonical worker order, reusing the exact merge and fold code
-// paths of RunParallel. A distributed campaign over a fixed (Seed, Workers,
+// ExecuteLease (a pure function of the lease, the campaign shape and the
+// corpus prefix the worker holds) and report a LeaseResult back; the
+// LeaseCoordinator folds reports at round barriers in canonical worker
+// order, reusing the exact merge and fold code paths of RunParallel. A distributed campaign over a fixed (Seed, Workers,
 // BatchSize) therefore produces the same final Stats and a byte-identical
 // event stream to a local run — TestLeaseCoordinatorMatchesRunParallel pins
 // this, and the service integration tests extend it across HTTP.
@@ -34,7 +34,14 @@ type Lease struct {
 	// the shard generator to it, exactly like a replacement worker after a
 	// local fault.
 	Cursor uint64 `json:"cursor"`
-	// Corpus is the merged global corpus as of the previous round barrier.
+	// Base is the number of leading corpus seeds the lease leaves out
+	// because the worker proved it holds them; zero sends the full corpus.
+	Base int `json:"base,omitempty"`
+	// BaseSum is the digest of the first Base seeds (CorpusPrefix.Sum); the
+	// executor checks it against its held prefix.
+	BaseSum string `json:"base_sum,omitempty"`
+	// Corpus is the merged global corpus as of the previous round barrier:
+	// the seeds past Base, and the full best-interval list.
 	Corpus CorpusWire `json:"corpus"`
 }
 
@@ -101,33 +108,41 @@ type LeaseResult struct {
 }
 
 // ExecuteLease runs one shard-batch lease to completion and returns its
-// result. It is a pure function of (shape, lanes, lease): it builds a fresh
-// shard worker with the lease's RNG cursor replayed and the lease's corpus
-// installed — exactly the state a local replacement worker re-derives after
-// a fault — and drains the batch through the same runBatch path local
-// workers use. Executing the same lease twice returns equal results, so a
-// lease lost to worker churn can simply be re-offered.
+// result. It is a pure function of (shape, lanes, lease, held prefix): it
+// resolves the lease's corpus against the prefix held (a delta lease lists
+// only the seeds past Base), builds a fresh shard worker with the lease's
+// RNG cursor replayed and that corpus installed — exactly the state a local
+// replacement worker re-derives after a fault — and drains the batch
+// through the same runBatch path local workers use. Executing the same
+// lease twice returns equal results, so a lease lost to worker churn can
+// simply be re-offered.
 //
+// held is the worker's decoded prefix of the lease's campaign corpus; on
+// success it holds the lease's full corpus, ready for the next delta. A nil
+// held holds nothing, so only a full lease (Base 0) resolves against it.
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
 // that may differ per worker without changing any result.
-func ExecuteLease(newDUT func() *DUT, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
-	return ExecuteLeaseExec(func() Executor { return newDUT() }, shape, lanes, l)
+func ExecuteLease(newDUT func() *DUT, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, error) {
+	return ExecuteLeaseExec(func() Executor { return newDUT() }, shape, lanes, l, held)
 }
 
 // ExecuteLeaseExec is ExecuteLease over any Executor factory — the entry
 // point netlist-backed lease workers use. A GroupExecutor lease drains
 // through the grouped batch loop, whose RNG order is lane-width independent,
 // so re-executions at any Lanes setting still return byte-equal results.
-func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
+func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
 	}
 	if l.N < 1 || l.N > shape.BatchSize {
 		return nil, fmt.Errorf("fuzz: lease batch of %d iterations outside [1, %d]", l.N, shape.BatchSize)
 	}
-	corpus, err := l.Corpus.corpus()
+	if held == nil {
+		held = &HeldCorpus{}
+	}
+	corpus, err := held.resolve(l)
 	if err != nil {
-		return nil, fmt.Errorf("fuzz: lease corpus: %w", err)
+		return nil, err
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
@@ -182,6 +197,9 @@ type LeaseCoordinator struct {
 
 	acc    *statsAccum
 	global *Corpus
+	// sums[n] is the digest of the first n global seeds. The global corpus
+	// is append-only, so the chain only ever extends (see prefixSums).
+	sums []prefixSum
 
 	// Open-round state, reset at each barrier.
 	reported  []*leaseReport // per shard; non-nil = reported this round
@@ -326,7 +344,12 @@ func (lc *LeaseCoordinator) openShard(i int) bool {
 // The same lease may be built (and executed) any number of times — results
 // are deterministic — which is how the service re-offers leases lost to
 // worker churn.
-func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
+//
+// held is the corpus prefix the requesting worker holds. When it names a
+// prefix of the global corpus (length in range, matching digest) the lease
+// carries only the seeds past it; any mismatch — or the zero value — gets
+// the full corpus.
+func (lc *LeaseCoordinator) Lease(shard int, held CorpusPrefix) (*Lease, error) {
 	if shard < 0 || shard >= lc.workers {
 		return nil, fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
 	}
@@ -337,13 +360,26 @@ func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
 	if n > lc.batch {
 		n = lc.batch
 	}
-	return &Lease{
-		Shard:  shard,
-		Round:  lc.round + 1,
-		N:      n,
-		Cursor: lc.cursors[shard],
-		Corpus: newCorpusWire(lc.global),
-	}, nil
+	l := &Lease{Shard: shard, Round: lc.round + 1, N: n, Cursor: lc.cursors[shard]}
+	sums := lc.prefixSums()
+	if held.Seeds > 0 && held.Seeds < len(sums) && sums[held.Seeds].String() == held.Sum {
+		l.Base, l.BaseSum = held.Seeds, held.Sum
+	}
+	l.Corpus = newCorpusWire(lc.global, l.Base)
+	return l, nil
+}
+
+// prefixSums extends the digest chain over seeds merged since the last
+// call and returns it: element n digests the first n global seeds.
+func (lc *LeaseCoordinator) prefixSums() []prefixSum {
+	if len(lc.sums) == 0 {
+		lc.sums = []prefixSum{{}}
+	}
+	for _, s := range lc.global.seeds[len(lc.sums)-1:] {
+		last := lc.sums[len(lc.sums)-1]
+		lc.sums = append(lc.sums, last.next(s.marshal(), sortIntvls(s.Intvls), s.Dir, s.Target))
+	}
+	return lc.sums
 }
 
 // Report folds one executed lease's result in. The result must belong to an

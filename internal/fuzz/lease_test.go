@@ -23,7 +23,7 @@ func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
 	if err := json.Unmarshal(lb, &wire); err != nil {
 		t.Fatalf("unmarshal lease: %v", err)
 	}
-	res, err := ExecuteLease(liteFactory, shape, lanes, &wire)
+	res, err := ExecuteLease(liteFactory, shape, lanes, &wire, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
@@ -49,7 +49,7 @@ func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 			t.Fatal("coordinator not finished but no open shards")
 		}
 		for _, shard := range open {
-			l, err := lc.Lease(shard)
+			l, err := lc.Lease(shard, CorpusPrefix{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
@@ -122,7 +122,7 @@ func TestLeaseReexecutionDeterministic(t *testing.T) {
 	// Advance one round so the lease carries a non-trivial corpus + cursor.
 	driveRounds(t, lc, 1)
 
-	l, err := lc.Lease(0)
+	l, err := lc.Lease(0, CorpusPrefix{})
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
@@ -147,7 +147,7 @@ func driveRounds(t *testing.T, lc *LeaseCoordinator, n int) {
 	target := lc.Round() + n
 	for lc.Round() < target && !lc.Finished() {
 		for _, shard := range lc.OpenShards() {
-			l, err := lc.Lease(shard)
+			l, err := lc.Lease(shard, CorpusPrefix{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
@@ -167,7 +167,7 @@ func TestLeaseReportValidation(t *testing.T) {
 	opt.Observer = obs.New()
 	lc := NewLeaseCoordinator(liteFactory(), opt)
 
-	l, err := lc.Lease(0)
+	l, err := lc.Lease(0, CorpusPrefix{})
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}

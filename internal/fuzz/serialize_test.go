@@ -1,9 +1,14 @@
 package fuzz
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sonar/internal/isa"
 )
 
 func TestTestcaseMarshalRoundTrip(t *testing.T) {
@@ -100,4 +105,72 @@ func TestMarshalMentionsSections(t *testing.T) {
 			t.Errorf("Marshal missing %q", want)
 		}
 	}
+}
+
+// fmtMarshal is the fmt-based Testcase.Marshal the append renderer
+// replaced — kept as the differential oracle for the testcase text format.
+func fmtMarshal(tc *Testcase) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# sonar testcase\n")
+	fmt.Fprintf(&b, "# probe: %d\n", tc.Probe)
+	fmt.Fprintf(&b, "# probe-offset: %d\n", tc.ProbeOffset)
+	fmt.Fprintf(&b, "# probe-delay: %d\n", tc.ProbeDelay)
+	fmt.Fprintf(&b, "# probe-base: %d\n", tc.ProbeBase)
+	patterns := make([]string, len(tc.Patterns))
+	for i, p := range tc.Patterns {
+		patterns[i] = strconv.Itoa(int(p))
+	}
+	fmt.Fprintf(&b, "# patterns: %s\n", strings.Join(patterns, " "))
+	section := func(name string, code []isa.Instr) {
+		fmt.Fprintf(&b, ".%s\n", name)
+		for _, ins := range code {
+			fmt.Fprintf(&b, "  %s\n", ins)
+		}
+	}
+	section("chain", tc.HeadChain)
+	section("prologue", tc.Prologue)
+	section("epilogue", tc.Epilogue)
+	section("attacker", tc.Attacker)
+	return b.String()
+}
+
+// Marshal is byte-identical to the fmt oracle over generated testcases,
+// their directed mutants, and testcases whose regions hold every opcode
+// (every rendering class of isa.Instr.String) with extreme operands.
+func TestMarshalMatchesFmtOracle(t *testing.T) {
+	check := func(what string, tc *Testcase) {
+		t.Helper()
+		if got, want := tc.Marshal(), fmtMarshal(tc); got != want {
+			t.Fatalf("%s: Marshal differs from the fmt oracle:\n%s\nvs\n%s", what, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 200; i++ {
+		tc := Generate(rng, i%2 == 0)
+		check("Generate", tc)
+		seed := &Seed{TC: tc, Dir: 1 - 2*(i%2)}
+		for k := 0; k < 4; k++ {
+			seed.TC = MutateDirected(seed, rng)
+			check("MutateDirected", seed.TC)
+		}
+	}
+	var all []isa.Instr
+	for op := 0; ; op++ {
+		o := isa.Op(op)
+		if strings.HasPrefix(o.String(), "Op(") {
+			// One out-of-range op exercises the fallback mnemonic too.
+			all = append(all, isa.Instr{Op: o, Rd: 3, Rs1: 4, Rs2: 5, Imm: -9})
+			break
+		}
+		all = append(all,
+			isa.Instr{Op: o, Rd: 1, Rs1: 2, Rs2: 3, Imm: -2048},
+			isa.Instr{Op: o, Rd: 31, Rs1: 0, Rs2: 30, Imm: math.MaxInt64},
+			isa.Instr{Op: o, Imm: math.MinInt64})
+	}
+	check("every opcode", &Testcase{
+		HeadChain: all, Prologue: all, Epilogue: all, Attacker: all,
+		Patterns: []SecretPattern{PatternLoad, PatternDiv, PatternMul, PatternStore},
+		Probe:    PatternStore, ProbeOffset: -1 << 40, ProbeDelay: -7, ProbeBase: 255,
+	})
+	check("empty", &Testcase{})
 }

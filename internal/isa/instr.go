@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Instr is one decoded instruction.
 type Instr struct {
@@ -57,26 +57,52 @@ func (i Instr) Writes() uint8 {
 
 // String renders the instruction in assembler syntax.
 func (i Instr) String() string {
+	var buf [32]byte
+	return string(i.Append(buf[:0]))
+}
+
+// Append appends the instruction's assembler syntax (its String form) to
+// dst and returns the extended buffer. Testcase serialization renders whole
+// listings through it without per-instruction allocations.
+func (i Instr) Append(dst []byte) []byte {
 	switch {
 	case i.Op == RDCYCLE:
-		return fmt.Sprintf("rdcycle x%d", i.Rd)
+		return appendReg(append(dst, "rdcycle "...), i.Rd)
 	case i.Op == FENCE || i.Op == ECALL:
-		return i.Op.String()
-	case i.Op == LUI:
-		return fmt.Sprintf("lui x%d, %d", i.Rd, i.Imm)
-	case i.Op == JAL:
-		return fmt.Sprintf("jal x%d, %d", i.Rd, i.Imm)
+		return i.Op.appendName(dst)
+	case i.Op == LUI || i.Op == JAL:
+		dst = appendReg(append(i.Op.appendName(dst), ' '), i.Rd)
+		return strconv.AppendInt(append(dst, ", "...), i.Imm, 10)
 	case i.Op.IsBranch():
-		return fmt.Sprintf("%s x%d, x%d, %d", i.Op, i.Rs1, i.Rs2, i.Imm)
+		dst = appendReg(append(i.Op.appendName(dst), ' '), i.Rs1)
+		dst = appendReg(append(dst, ", "...), i.Rs2)
+		return strconv.AppendInt(append(dst, ", "...), i.Imm, 10)
 	case i.Op.IsLoad():
-		return fmt.Sprintf("%s x%d, %d(x%d)", i.Op, i.Rd, i.Imm, i.Rs1)
+		return appendMem(appendReg(append(i.Op.appendName(dst), ' '), i.Rd), i.Imm, i.Rs1)
 	case i.Op == SCD:
-		return fmt.Sprintf("%s x%d, x%d, 0(x%d)", i.Op, i.Rd, i.Rs2, i.Rs1)
+		dst = appendReg(append(i.Op.appendName(dst), ' '), i.Rd)
+		return appendMem(appendReg(append(dst, ", "...), i.Rs2), 0, i.Rs1)
 	case i.Op.IsStore():
-		return fmt.Sprintf("%s x%d, %d(x%d)", i.Op, i.Rs2, i.Imm, i.Rs1)
+		return appendMem(appendReg(append(i.Op.appendName(dst), ' '), i.Rs2), i.Imm, i.Rs1)
 	case i.Op.HasRs2():
-		return fmt.Sprintf("%s x%d, x%d, x%d", i.Op, i.Rd, i.Rs1, i.Rs2)
+		dst = appendReg(append(i.Op.appendName(dst), ' '), i.Rd)
+		dst = appendReg(append(dst, ", "...), i.Rs1)
+		return appendReg(append(dst, ", "...), i.Rs2)
 	default:
-		return fmt.Sprintf("%s x%d, x%d, %d", i.Op, i.Rd, i.Rs1, i.Imm)
+		dst = appendReg(append(i.Op.appendName(dst), ' '), i.Rd)
+		dst = appendReg(append(dst, ", "...), i.Rs1)
+		return strconv.AppendInt(append(dst, ", "...), i.Imm, 10)
 	}
+}
+
+// appendReg appends a register operand ("x5").
+func appendReg(dst []byte, r uint8) []byte {
+	return strconv.AppendUint(append(dst, 'x'), uint64(r), 10)
+}
+
+// appendMem appends ", imm(xbase)" — the memory operand following a load's
+// destination or a store's source register.
+func appendMem(dst []byte, imm int64, base uint8) []byte {
+	dst = strconv.AppendInt(append(dst, ", "...), imm, 10)
+	return append(appendReg(append(dst, '('), base), ')')
 }

@@ -6,7 +6,7 @@
 // can round-trip through memory images.
 package isa
 
-import "fmt"
+import "strconv"
 
 // Op identifies an instruction operation.
 type Op uint8
@@ -68,7 +68,15 @@ func (o Op) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
 	}
-	return fmt.Sprintf("Op(%d)", uint8(o))
+	return string(o.appendName(nil))
+}
+
+// appendName appends the mnemonic (String) to dst.
+func (o Op) appendName(dst []byte) []byte {
+	if int(o) < len(opNames) {
+		return append(dst, opNames[o]...)
+	}
+	return append(strconv.AppendUint(append(dst, "Op("...), uint64(o), 10), ')')
 }
 
 // IsALU reports whether the op executes on an integer ALU.
