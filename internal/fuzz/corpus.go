@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,6 +28,9 @@ type Seed struct {
 	// keeps the lazy fill race-free for seeds shared across goroutines.
 	textOnce sync.Once
 	text     string
+	// points memoizes the sorted keys of Intvls, which anyPoint indexes.
+	pointsOnce sync.Once
+	points     []int
 }
 
 // marshal returns the seed's testcase in Testcase.Marshal form, rendering
@@ -33,6 +38,24 @@ type Seed struct {
 func (s *Seed) marshal() string {
 	s.textOnce.Do(func() { s.text = s.TC.Marshal() })
 	return s.text
+}
+
+// anyPoint picks a uniformly random point the seed observed, or -1 if it
+// observed none. It indexes the sorted point ids rather than Go's randomized
+// map order, so equal seeds give equal campaigns (the determinism contract
+// of Run and RunParallel).
+func (s *Seed) anyPoint(rng *rand.Rand) int {
+	s.pointsOnce.Do(func() {
+		s.points = make([]int, 0, len(s.Intvls))
+		for id := range s.Intvls { //sonar:nondeterministic-ok keys collected then sorted
+			s.points = append(s.points, id)
+		}
+		sort.Ints(s.points)
+	})
+	if len(s.points) == 0 {
+		return -1
+	}
+	return s.points[rng.Intn(len(s.points))]
 }
 
 // Corpus is the seed corpus with Sonar's retention and selection policies.
@@ -49,6 +72,73 @@ type Corpus struct {
 	// next mutation must thaw (privately copy) the seed list and best map
 	// first. Behaviour is otherwise identical to an unfrozen corpus.
 	frozen bool
+	// sel caches what prioritized Select derives from seeds and best; nil
+	// until the first Select after a change. It belongs to this Corpus
+	// value alone: views and snapshots start without one, so workers never
+	// share it.
+	sel *selection
+}
+
+// selectRanks is how many of the lowest-interval points Select's rank
+// draw can reach.
+const selectRanks = 16
+
+// rankedPoint is a target candidate: a point and its global best interval.
+type rankedPoint struct {
+	id int
+	v  int64
+}
+
+// selection is the target ranking of one corpus state.
+type selection struct {
+	// ranked are the points with the smallest non-zero best intervals,
+	// ascending by (interval, point id), at most selectRanks of them.
+	ranked []rankedPoint
+	// seeds[r] are the seeds achieving ranked[r]'s interval at its point,
+	// in retention order, or every seed when none does. Nil until rank r
+	// is first drawn: the geometric rank draw rarely goes past rank 3.
+	seeds [selectRanks][]*Seed
+}
+
+// selector returns the corpus's target ranking, building it on first use.
+func (c *Corpus) selector() *selection {
+	if c.sel != nil {
+		return c.sel
+	}
+	var all []rankedPoint
+	for id, v := range c.best { //sonar:nondeterministic-ok candidates collected then sorted
+		if v == 0 {
+			continue // already triggered; approaching it halts (paper §6.1)
+		}
+		all = append(all, rankedPoint{id, v})
+	}
+	slices.SortFunc(all, func(a, b rankedPoint) int {
+		if a.v != b.v {
+			return cmp.Compare(a.v, b.v)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	c.sel = &selection{ranked: all[:min(len(all), selectRanks)]}
+	return c.sel
+}
+
+// candidates returns the seeds Select draws from when it targets rank r of
+// sel, scanning the corpus on the rank's first draw only.
+func (c *Corpus) candidates(sel *selection, r int) []*Seed {
+	if sel.seeds[r] == nil {
+		p := sel.ranked[r]
+		var match []*Seed
+		for _, s := range c.seeds {
+			if v, ok := s.Intvls[p.id]; ok && v == p.v {
+				match = append(match, s)
+			}
+		}
+		if match == nil {
+			match = c.seeds
+		}
+		sel.seeds[r] = match
+	}
+	return sel.seeds[r]
 }
 
 // NewCorpus creates an empty corpus.
@@ -133,6 +223,7 @@ func (c *Corpus) Offer(tc *Testcase, intvls map[int]int64, dir int, target int) 
 		}
 	}
 	c.version++
+	c.sel = nil
 	s := &Seed{TC: tc, Intvls: intvls, Dir: dir, Target: target}
 	c.seeds = append(c.seeds, s)
 	return s
@@ -143,71 +234,31 @@ func (c *Corpus) Offer(tc *Testcase, intvls map[int]int64, dir int, target int) 
 // interval — the point closest to (but not yet at) triggering — and picks
 // uniformly among seeds achieving that best (§6.2.1 ②). Without it, the
 // seed is uniform random and the target is any point the seed observed.
+// On a corpus unchanged since the previous call it allocates nothing.
 func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 	if len(c.seeds) == 0 {
 		return nil, -1
 	}
 	if !prioritize {
 		s := c.seeds[rng.Intn(len(c.seeds))]
-		return s, anyPoint(rng, s.Intvls)
+		return s, s.anyPoint(rng)
 	}
 	// Rank points by interval; points with smaller non-zero best intervals
 	// are "more likely to be selected as targets" (§6.2.1) — rank-weighted
 	// sampling rather than a deterministic argmin, so the campaign does not
 	// tunnel forever on a point whose interval cannot reach zero.
-	type cand struct {
-		id int
-		v  int64
-	}
-	var cands []cand
-	for id, v := range c.best { //sonar:nondeterministic-ok candidates collected then sorted
-		if v == 0 {
-			continue // already triggered; approaching it halts (paper §6.1)
-		}
-		cands = append(cands, cand{id, v})
-	}
-	if len(cands) == 0 {
+	sel := c.selector()
+	if len(sel.ranked) == 0 {
 		s := c.seeds[rng.Intn(len(c.seeds))]
-		return s, anyPoint(rng, s.Intvls)
+		return s, s.anyPoint(rng)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].v != cands[j].v {
-			return cands[i].v < cands[j].v
-		}
-		return cands[i].id < cands[j].id
-	})
 	// Geometric rank weighting: each rank is taken with probability 2/3,
 	// so rank 0 is twice as likely as rank 1, capped at the first 16 ranks.
 	r := 0
-	for r < len(cands)-1 && r < 15 && rng.Intn(3) == 0 {
+	for r < len(sel.ranked)-1 && rng.Intn(3) == 0 {
 		r++
 	}
-	target := cands[r].id
-	bestV := cands[r].v
 	// Among seeds achieving the best interval at the target, pick randomly.
-	var candidates []*Seed
-	for _, s := range c.seeds {
-		if v, ok := s.Intvls[target]; ok && v == bestV {
-			candidates = append(candidates, s)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = c.seeds
-	}
-	return candidates[rng.Intn(len(candidates))], target
-}
-
-func anyPoint(rng *rand.Rand, intvls map[int]int64) int {
-	if len(intvls) == 0 {
-		return -1
-	}
-	// Index sorted keys rather than Go's randomized map order, so equal
-	// seeds give equal campaigns (the determinism contract of Run and
-	// RunParallel).
-	ids := make([]int, 0, len(intvls))
-	for id := range intvls { //sonar:nondeterministic-ok keys collected then sorted
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids[rng.Intn(len(ids))]
+	candidates := c.candidates(sel, r)
+	return candidates[rng.Intn(len(candidates))], sel.ranked[r].id
 }

@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"math/bits"
+
 	"sonar/internal/hdl"
 	"sonar/internal/isa"
 )
@@ -105,6 +107,9 @@ type Core struct {
 	robHead  int
 	robTail  int
 	robCount int
+	// waiting has one bit per ROB position, set while the entry there is
+	// dispatched but not yet issued, so issue visits only those entries.
+	waiting  []uint64
 	seqNext  int64
 	lastProd [32]prodRef
 
@@ -150,17 +155,18 @@ type CoreParams struct {
 // NewCore assembles a core from its parts.
 func NewCore(cfg Config, p CoreParams) *Core {
 	c := &Core{
-		Cfg:    cfg,
-		ID:     p.ID,
-		net:    p.Net,
-		pulser: p.Pulser,
-		mem:    p.Mem,
-		bus:    p.Bus,
-		ICache: p.ICache,
-		DCache: p.DCache,
-		Exec:   p.Exec,
-		bulk:   p.Bulk,
-		rob:    make([]robEntry, cfg.ROBEntries),
+		Cfg:     cfg,
+		ID:      p.ID,
+		net:     p.Net,
+		pulser:  p.Pulser,
+		mem:     p.Mem,
+		bus:     p.Bus,
+		ICache:  p.ICache,
+		DCache:  p.DCache,
+		Exec:    p.Exec,
+		bulk:    p.Bulk,
+		rob:     make([]robEntry, cfg.ROBEntries),
+		waiting: make([]uint64, (cfg.ROBEntries+63)/64),
 	}
 	c.clearProducers()
 	return c
@@ -221,6 +227,7 @@ func (c *Core) Reset() {
 		c.rob[i] = robEntry{}
 	}
 	c.robHead, c.robTail, c.robCount = 0, 0, 0
+	clear(c.waiting)
 	c.seqNext = 0
 	c.clearProducers()
 	c.fetchBuf = c.fetchBuf[:0]
@@ -305,6 +312,7 @@ func (c *Core) commit() {
 }
 
 func (c *Core) popHead(e *robEntry) {
+	c.clearWaiting(c.robHead)
 	c.releaseEntry(e)
 	e.active = false
 	c.robHead = (c.robHead + 1) % len(c.rob)
@@ -350,6 +358,7 @@ func (c *Core) flushAllAfterHead() {
 		c.robCount--
 	}
 	c.robTail = c.robHead
+	clear(c.waiting)
 	c.fetchBuf = c.fetchBuf[:0]
 	c.fbHead = 0
 	c.hasPending = false
@@ -366,6 +375,7 @@ func (c *Core) flushYoungerThan(seq int64) {
 			break
 		}
 		c.perf.Squashed++
+		c.clearWaiting(tailPos)
 		c.releaseEntry(e)
 		e.active = false
 		c.robTail = tailPos
@@ -436,6 +446,33 @@ func producerValue(p *robEntry, cycle int64) (uint64, bool) {
 
 func (c *Core) issueWidth() int { return c.Cfg.NumALUs + 2 }
 
+func (c *Core) clearWaiting(pos int) { c.waiting[pos>>6] &^= 1 << (pos & 63) }
+
+// nextWaiting returns the first waiting ROB position in [from, limit), or
+// -1 if there is none. It reads the live bitset, so entries a flush
+// squashed since the last call are not returned.
+func (c *Core) nextWaiting(from, limit int) int {
+	for w := from >> 6; w<<6 < limit; w++ {
+		word := c.waiting[w]
+		if w == from>>6 {
+			word &= ^uint64(0) << (from & 63)
+		}
+		if word != 0 {
+			if pos := w<<6 + bits.TrailingZeros64(word); pos < limit {
+				return pos
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// issue visits the waiting entries oldest first: the live window runs from
+// robHead to the end of the array, then wraps to the positions before
+// robHead. A flush inside tryIssue clears the bits of every squashed entry,
+// which ends the walk exactly where the shrunken window ends.
+//
+//sonar:alloc-free
 func (c *Core) issue() {
 	issued := 0
 	aluUsed := 0
@@ -445,13 +482,19 @@ func (c *Core) issue() {
 	seenUnissuedStore := false
 	seenUnissuedMem := false
 
-	for i, pos := 0, c.robHead; i < c.robCount && issued < c.issueWidth(); i++ {
-		epos := pos
-		e := &c.rob[pos]
-		pos = (pos + 1) % len(c.rob)
-		if e.state != stWaiting {
+	width := c.issueWidth()
+	from, limit := c.robHead, len(c.rob)
+	for issued < width {
+		epos := c.nextWaiting(from, limit)
+		if epos < 0 {
+			if limit != len(c.rob) || c.robHead == 0 {
+				return // no wrapped half left to scan
+			}
+			from, limit = 0, c.robHead
 			continue
 		}
+		from = epos + 1
+		e := &c.rob[epos]
 		blockedStore := e.ins.Op.IsLoad() && seenUnissuedStore
 		blockedMem := e.ins.Op.IsStore() && seenUnissuedMem
 		if e.ins.Op.IsStore() {
@@ -477,6 +520,7 @@ func (c *Core) issue() {
 			continue
 		}
 		if c.tryIssue(e, rs1, rs2, &aluUsed, &mulUsed, &divUsed, &memUsed) {
+			c.clearWaiting(epos)
 			issued++
 		}
 	}
@@ -619,6 +663,7 @@ func (c *Core) dispatch() {
 			ins:    fi.ins,
 			state:  stWaiting,
 		}
+		c.waiting[pos>>6] |= 1 << (pos & 63)
 		c.seqNext++
 		c.perf.Dispatched++
 		c.robTail = (c.robTail + 1) % len(c.rob)

@@ -54,28 +54,53 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 }
 
 // Read reads n little-endian bytes as a uint64 (n <= 8). Accesses may span
-// pages.
+// pages; one within a page costs a single page lookup.
+//
+//sonar:alloc-free
 func (m *Memory) Read(addr uint64, n int) uint64 {
-	var buf [8]byte
-	for i := 0; i < n; i++ {
-		buf[i] = m.LoadByte(addr + uint64(i))
+	off := addr % pageBytes
+	if off+uint64(n) > pageBytes {
+		var buf [8]byte
+		for i := 0; i < n; i++ {
+			buf[i] = m.LoadByte(addr + uint64(i))
+		}
+		return binary.LittleEndian.Uint64(buf[:])
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(p[off+uint64(i)])
+	}
+	return v
 }
 
-// Write stores the low n bytes of v little-endian at addr.
+// Write stores the low n bytes of v little-endian at addr (n <= 8).
+//
+//sonar:alloc-free
 func (m *Memory) Write(addr uint64, v uint64, n int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
+	off := addr % pageBytes
+	if off+uint64(n) > pageBytes {
+		for i := 0; i < n; i++ {
+			m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
+		}
+		return
+	}
+	p := m.page(addr, true)
 	for i := 0; i < n; i++ {
-		m.StoreByte(addr+uint64(i), buf[i])
+		p[off+uint64(i)] = byte(v >> (8 * i))
 	}
 }
 
-// WriteBytes copies a byte slice into memory.
+// WriteBytes copies a byte slice into memory, one page chunk at a time.
 func (m *Memory) WriteBytes(addr uint64, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint64(i), b)
+	for len(data) > 0 {
+		off := addr % pageBytes
+		n := copy(m.page(addr, true)[off:], data)
+		addr += uint64(n)
+		data = data[n:]
 	}
 }
 

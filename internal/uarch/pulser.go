@@ -17,18 +17,31 @@ type pulse struct {
 // actually arrives at its contention point; the Pulser bridges the two by
 // replaying scheduled pulses when the simulation reaches their cycle.
 type Pulser struct {
-	pending map[int64][]pulse
-	// free recycles drained pulse slices so steady-state scheduling
-	// allocates nothing once the schedule shape has been seen.
-	free [][]pulse
+	// ring holds the pulses of cycles (drained, drained+len(ring)]: cycle c
+	// lives in slot c&mask, in insertion order. Its length is a power of
+	// two, doubled by At when a pulse lands past the window. Drained slots
+	// keep their capacity, so steady-state scheduling allocates nothing
+	// once the schedule shape has been seen.
+	ring [][]pulse
+	mask int64
+	// busy counts the non-empty slots.
+	busy int
 	// drained is the most recent cycle Drain ran for; pulses scheduled at
 	// or before it fire immediately (the core is mid-cycle).
 	drained int64
 }
 
+// initialPulserSlots is the ring's starting length; a transaction that
+// schedules further ahead grows it.
+const initialPulserSlots = 64
+
 // NewPulser creates an empty scheduler.
 func NewPulser() *Pulser {
-	return &Pulser{pending: make(map[int64][]pulse), drained: -1}
+	return &Pulser{
+		ring:    make([][]pulse, initialPulserSlots),
+		mask:    initialPulserSlots - 1,
+		drained: -1,
+	}
 }
 
 // At schedules a request pulse (valid rising edge, with data driven first)
@@ -39,30 +52,47 @@ func (p *Pulser) At(cycle int64, valid, data *hdl.Signal, val uint64) {
 		fire(pulse{valid: valid, data: data, val: val})
 		return
 	}
-	lst, ok := p.pending[cycle]
-	if !ok && len(p.free) > 0 {
-		lst = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
+	if cycle-p.drained > int64(len(p.ring)) {
+		p.grow(cycle)
 	}
-	p.pending[cycle] = append(lst, pulse{valid: valid, data: data, val: val})
+	slot := &p.ring[cycle&p.mask]
+	if len(*slot) == 0 {
+		p.busy++
+	}
+	*slot = append(*slot, pulse{valid: valid, data: data, val: val})
+}
+
+// grow doubles the ring until it covers cycle, moving every slot to its
+// position under the wider mask.
+func (p *Pulser) grow(cycle int64) {
+	n := int64(len(p.ring))
+	for cycle-p.drained > n {
+		n *= 2
+	}
+	ring := make([][]pulse, n)
+	for c := p.drained + 1; c <= p.drained+int64(len(p.ring)); c++ {
+		ring[c&(n-1)] = p.ring[c&p.mask]
+	}
+	p.ring, p.mask = ring, n-1
 }
 
 // Drain fires all pulses scheduled for cycles up to and including the given
 // cycle. The runner calls it once per cycle before stepping the cores.
-// Drained slices go onto the free list for reuse by At; firing a pulse never
-// schedules another one (watch hooks do not call back into the Pulser), so
-// recycling here is safe.
+// Firing a pulse never schedules another one (watch hooks do not call back
+// into the Pulser), so emptying each slot after firing it is safe.
+//
+//sonar:alloc-free
 func (p *Pulser) Drain(cycle int64) {
-	for c := p.drained + 1; c <= cycle; c++ {
-		pulses, ok := p.pending[c]
-		if !ok {
+	for c := p.drained + 1; c <= cycle && p.busy > 0; c++ {
+		slot := &p.ring[c&p.mask]
+		if len(*slot) == 0 {
 			continue
 		}
-		delete(p.pending, c)
-		for _, pl := range pulses {
+		for _, pl := range *slot {
 			fire(pl)
 		}
-		p.free = append(p.free, pulses[:0])
+		*slot = (*slot)[:0]
+		p.busy--
 	}
 	p.drained = cycle
 }
@@ -75,15 +105,15 @@ func fire(pl pulse) {
 	pl.valid.Set(0)
 }
 
-// Reset drops all scheduled pulses and rewinds the drain clock. The map and
-// the dropped slices are kept for reuse.
+// Reset drops all scheduled pulses and rewinds the drain clock. The ring
+// and its slots are kept for reuse.
 func (p *Pulser) Reset() {
-	for c, lst := range p.pending { //sonar:nondeterministic-ok buffer recycling; free-list order has no semantic effect
-		p.free = append(p.free, lst[:0])
-		delete(p.pending, c)
+	for i := range p.ring {
+		p.ring[i] = p.ring[i][:0]
 	}
+	p.busy = 0
 	p.drained = -1
 }
 
 // PendingCycles returns the number of future cycles with scheduled pulses.
-func (p *Pulser) PendingCycles() int { return len(p.pending) }
+func (p *Pulser) PendingCycles() int { return p.busy }
