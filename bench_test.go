@@ -271,10 +271,11 @@ func recordThroughput(b *testing.B, name string, itersPerRun int, run func() int
 	campaignResultsMu.Unlock()
 }
 
-// Campaign-engine throughput: the serial engine vs the sharded parallel
-// engine at increasing worker counts. The metric is fuzzing iterations per
-// second; the parallel entries should scale with physical cores
-// (Workers=1 retraces the serial campaign exactly, see TestParallelWorkers1MatchesSerial).
+// Campaign-engine throughput: serial Run (the engine at one shard on one
+// DUT) vs sharded runs at increasing worker counts. The metric is fuzzing
+// iterations per second; the parallel entries should scale with physical
+// cores (Workers=1 retraces the serial campaign exactly, see
+// TestParallelWorkers1MatchesSerial).
 // Workers share one contention-point analysis (fuzz.SharedAnalysisFactory),
 // as the production engines do via core.Sonar.
 func benchmarkCampaign(b *testing.B, workers int) {

@@ -102,15 +102,14 @@ func (s *Sonar) Identify() *IdentificationReport {
 }
 
 // Fuzz runs a state-guided fuzzing campaign (§6) with dual-differential
-// detection (§7). Campaigns with Options.Workers > 1 — or using the
-// durability surface (checkpointing, MaxRounds pausing, fault tolerance),
-// which lives in the parallel engine — are dispatched to FuzzParallel;
-// Workers <= 1 there still reproduces the serial campaign exactly.
-// Options.Lanes never affects dispatch: the lane width is an evaluator
-// batching knob both engines honor with byte-identical results
-// (docs/SIMULATOR.md), so it needs no routing of its own. An attached
-// Options.Observer additionally receives the DUT's identification gauges,
-// so one metrics scrape relates campaign coverage to the point population.
+// detection (§7). Every campaign runs through the one campaign engine:
+// serial campaigns on the primary DUT (fuzz.Run), and campaigns with
+// Options.Workers > 1 — or using the durability surface (checkpointing,
+// MaxRounds pausing, fault tolerance), which needs fresh DUTs for
+// replacement workers — through FuzzParallel; Workers <= 1 there
+// reproduces the serial campaign exactly. An attached Options.Observer
+// additionally receives the DUT's identification gauges, so one metrics
+// scrape relates campaign coverage to the point population.
 func (s *Sonar) Fuzz(opt fuzz.Options) *fuzz.Stats {
 	if opt.Workers > 1 || opt.Checkpoint != "" || opt.MaxRounds > 0 ||
 		opt.IterTimeout > 0 || opt.FaultHook != nil {
@@ -120,13 +119,13 @@ func (s *Sonar) Fuzz(opt fuzz.Options) *fuzz.Stats {
 	return fuzz.Run(s.DUT, opt)
 }
 
-// Resume continues a checkpointed campaign (fuzz.Resume) on DUTs elaborated
-// from the retained SoC constructor. opt is typically
-// cp.CampaignOptions() plus operational overrides; see fuzz.Resume for the
-// shape-matching and bit-identity contract.
+// Resume continues a checkpointed campaign (fuzz.ResumeExec) on DUTs
+// elaborated from the retained SoC constructor. opt is typically
+// cp.CampaignOptions() plus operational overrides; see fuzz.ResumeExec for
+// the shape-matching and bit-identity contract.
 func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, error) {
 	s.observeIdentification(opt.Observer)
-	return fuzz.Resume(s.newDUT, opt, cp)
+	return fuzz.ResumeExec(s.newDUT, opt, cp)
 }
 
 // FuzzParallel runs a sharded campaign: Options.Workers workers, each on a
@@ -135,13 +134,13 @@ func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, erro
 // campaign exactly; a fixed worker count is reproducible across runs.
 func (s *Sonar) FuzzParallel(opt fuzz.Options) *fuzz.Stats {
 	s.observeIdentification(opt.Observer)
-	return fuzz.RunParallel(s.newDUT, opt)
+	return fuzz.RunParallelExec(s.newDUT, opt)
 }
 
 // newDUT elaborates a private worker DUT, reusing the primary DUT's
 // contention-point analysis by dense-id rebinding instead of re-running
 // trace.Analyze per worker (or per fault-recovery replacement worker).
-func (s *Sonar) newDUT() *fuzz.DUT {
+func (s *Sonar) newDUT() fuzz.Executor {
 	return fuzz.NewDUTWithAnalysis(s.mk(), s.DUT.Analysis)
 }
 

@@ -46,12 +46,13 @@ func Durability(iterations, workers int) DurabilityResult {
 		workers = 2
 	}
 	mkDUT := fuzz.SharedAnalysisFactory(boom.NewLite)
+	newExec := func() fuzz.Executor { return mkDUT() }
 
 	opt := fuzz.SonarOptions(iterations)
 	opt.Workers = workers
 	opt.BatchSize = 16
 
-	baseline := fuzz.RunParallel(mkDUT, observed(opt))
+	baseline := fuzz.RunParallelExec(newExec, observed(opt))
 
 	r := DurabilityResult{Iterations: iterations, Workers: opt.Workers}
 
@@ -64,7 +65,7 @@ func Durability(iterations, workers int) DurabilityResult {
 		popt := opt
 		popt.Checkpoint = path
 		popt.MaxRounds = 2
-		fuzz.RunParallel(mkDUT, popt)
+		fuzz.RunParallelExec(newExec, popt)
 		if cp, err := fuzz.LoadCheckpoint(path); err == nil {
 			r.PausedAt = cp.Done
 			if fi, err := os.Stat(path); err == nil {
@@ -72,7 +73,7 @@ func Durability(iterations, workers int) DurabilityResult {
 			}
 			ropt := cp.CampaignOptions()
 			ropt.Checkpoint = path
-			if resumed, err := fuzz.Resume(mkDUT, ropt, cp); err == nil {
+			if resumed, err := fuzz.ResumeExec(newExec, ropt, cp); err == nil {
 				r.ResumeIdentical = sameTrajectory(baseline, resumed)
 			}
 		}
@@ -85,7 +86,7 @@ func Durability(iterations, workers int) DurabilityResult {
 	)
 	fopt := opt
 	fopt.FaultHook = sched
-	faulted := fuzz.RunParallel(mkDUT, fopt)
+	faulted := fuzz.RunParallelExec(newExec, fopt)
 	r.FaultsInjected = sched.Fired()
 	r.FaultRecovered = sameTrajectory(baseline, faulted)
 	return r

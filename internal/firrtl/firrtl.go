@@ -169,6 +169,9 @@ func (p *parser) decl(kw, rest string) error {
 	if !validIdent(name) {
 		return p.errf("bad %s name %q", kw, name)
 	}
+	if err := p.undeclared(name); err != nil {
+		return err
+	}
 	width, err := p.parseType(strings.TrimSpace(rest[colon+1:]))
 	if err != nil {
 		return err
@@ -202,6 +205,9 @@ func (p *parser) parseType(s string) (int, error) {
 }
 
 func (p *parser) defineNode(name, expr string) error {
+	if err := p.undeclared(name); err != nil {
+		return err
+	}
 	sig, err := p.expr(expr, name)
 	if err != nil {
 		return err
@@ -223,6 +229,12 @@ func (p *parser) connect(lhs, rhs string) error {
 		return p.errf("connect to undeclared signal %q", lhs)
 	}
 	if strings.HasPrefix(rhs, "mux(") {
+		if dst.IsConst() {
+			return p.errf("mux connected to constant %q", lhs)
+		}
+		if _, driven := p.net.Driver(dst); driven {
+			return p.errf("%q connected to two muxes", lhs)
+		}
 		_, err := p.parseMux(rhs, dst)
 		return err
 	}
@@ -270,6 +282,9 @@ func (p *parser) parseMuxNamed(s, name string) (*hdl.Signal, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.undeclared(name); err != nil {
+		return nil, err // an operand's temporary took the name
+	}
 	w := tv.Width()
 	if fv.Width() > w {
 		w = fv.Width()
@@ -287,12 +302,11 @@ func (p *parser) parseMux(s string, dst *hdl.Signal) (*hdl.Signal, error) {
 		return nil, err
 	}
 	if dst == nil {
-		p.nTmp++
 		w := tv.Width()
 		if fv.Width() > w {
 			w = fv.Width()
 		}
-		dst = p.mod.Wire(fmt.Sprintf("_t%d", p.nTmp), w)
+		dst = p.mod.Wire(p.temp("_t", &p.nTmp), w)
 	}
 	p.mod.MuxInto(dst, sel, tv, fv)
 	return dst, nil
@@ -346,8 +360,7 @@ func (p *parser) primop(s string) (*hdl.Signal, error) {
 		}
 		sigs = append(sigs, sig)
 	}
-	p.nTmp++
-	out := p.mod.Wire(fmt.Sprintf("_t%d", p.nTmp), hdl.PrimResultWidth(op, sigs, intParams))
+	out := p.mod.Wire(p.temp("_t", &p.nTmp), hdl.PrimResultWidth(op, sigs, intParams))
 	p.net.Prim(out, op, sigs, intParams)
 	return out, nil
 }
@@ -366,12 +379,34 @@ func (p *parser) literal(s string) (*hdl.Signal, error) {
 	if err != nil {
 		return nil, p.errf("bad literal value in %q", s)
 	}
-	p.nConst++
-	return p.mod.Const(fmt.Sprintf("_c%d", p.nConst), width, val), nil
+	return p.mod.Const(p.temp("_c", &p.nConst), width, val), nil
 }
 
 func (p *parser) qualify(name string) string {
 	return p.mod.Path() + "." + name
+}
+
+// undeclared rejects a name already declared in the current module. The
+// hdl builders treat a duplicate as a programming error and panic; in
+// FIRRTL text it is an input error.
+func (p *parser) undeclared(name string) error {
+	if _, dup := p.net.Signal(p.qualify(name)); dup {
+		return p.errf("duplicate declaration of %q", name)
+	}
+	return nil
+}
+
+// temp returns the next free temporary name prefix+N, advancing *n past
+// names the source declared itself or an earlier module of the same name
+// already used.
+func (p *parser) temp(prefix string, n *int) string {
+	for {
+		*n++
+		name := prefix + strconv.Itoa(*n)
+		if _, taken := p.net.Signal(p.qualify(name)); !taken {
+			return name
+		}
+	}
 }
 
 // splitArgs splits "a, mux(b, c, d), e)" — the contents of a call up to its

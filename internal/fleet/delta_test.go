@@ -26,7 +26,7 @@ import (
 // maxLeases leases ran (0 = no limit). It returns the executed grants.
 func driveHeld(t *testing.T, client *Client, cache *heldCache, maxLeases int) []*LeaseGrant {
 	t.Helper()
-	factory := fuzz.SharedAnalysisFactory(liteSoC)
+	factory := liteExecFactory()
 	var grants []*LeaseGrant
 	for maxLeases == 0 || len(grants) < maxLeases {
 		g, err := client.Acquire("held-driver", cache.prefixes())
@@ -36,9 +36,9 @@ func driveHeld(t *testing.T, client *Client, cache *heldCache, maxLeases int) []
 		if g == nil {
 			break
 		}
-		res, err := fuzz.ExecuteLease(factory, g.Shape, 1, &g.Lease, cache.granted(g.Campaign))
+		res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 1, &g.Lease, cache.granted(g.Campaign))
 		if err != nil {
-			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
+			t.Fatalf("ExecuteLeaseExec(%s): %v", g.LeaseID, err)
 		}
 		if err := client.Report(g.LeaseID, res); err != nil {
 			t.Fatalf("Report(%s): %v", g.LeaseID, err)

@@ -40,6 +40,13 @@ circuit Lsu :
 // it is cheap enough to build per worker.
 func liteSoC() *uarch.SoC { return uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil) }
 
+// liteExecFactory is the lease workers' executor factory over liteSoC, with
+// the contention analysis shared across the executors it builds.
+func liteExecFactory() func() fuzz.Executor {
+	f := fuzz.SharedAnalysisFactory(liteSoC)
+	return func() fuzz.Executor { return f() }
+}
+
 // testRegistry is the DUT registry test servers and workers share.
 func testRegistry() map[string]func() *uarch.SoC {
 	return map[string]func() *uarch.SoC{"lite": liteSoC}
@@ -84,7 +91,7 @@ func newTestServer(t *testing.T, cfg Config) (*Client, *Controller) {
 // API until it stops offering work.
 func driveCampaign(t *testing.T, client *Client) {
 	t.Helper()
-	factory := fuzz.SharedAnalysisFactory(liteSoC)
+	factory := liteExecFactory()
 	for {
 		g, err := client.Acquire("test-driver", nil)
 		if err != nil {
@@ -93,9 +100,9 @@ func driveCampaign(t *testing.T, client *Client) {
 		if g == nil {
 			return
 		}
-		res, err := fuzz.ExecuteLease(factory, g.Shape, 1, &g.Lease, nil)
+		res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 1, &g.Lease, nil)
 		if err != nil {
-			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
+			t.Fatalf("ExecuteLeaseExec(%s): %v", g.LeaseID, err)
 		}
 		if err := client.Report(g.LeaseID, res); err != nil {
 			t.Fatalf("Report(%s): %v", g.LeaseID, err)
@@ -152,7 +159,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g.Shape, 1, &g.Lease, nil)
+	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g.Shape, 1, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -279,7 +286,7 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g1.Shape, 1, &g1.Lease, nil)
+	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g1.Shape, 1, &g1.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}

@@ -41,29 +41,24 @@ type Options struct {
 	// instead of inheriting/flipping based on the previous mutation's
 	// effect — the ablation of §6.2.1's "adaptive directed mutation".
 	RandomDirection bool
-	// Workers is the number of campaign shards RunParallel executes
-	// concurrently, each on a private DUT. 0 or 1 keeps the legacy serial
-	// behaviour; Run ignores this field.
+	// Workers is the number of campaign shards RunParallelExec executes
+	// concurrently, each on a private executor (0 = 1). Run always runs one
+	// shard.
 	Workers int
 	// BatchSize is the number of iterations each worker executes between
-	// two corpus merges in RunParallel (0 = a sensible default). Smaller
-	// batches tighten the feedback loop; larger ones reduce
-	// synchronization overhead.
+	// two corpus merges (0 = a sensible default). Smaller batches tighten
+	// the feedback loop; larger ones reduce synchronization overhead.
 	BatchSize int
-	// Lanes is the evaluator batch width: how many testcases a worker
-	// groups into one logical lane batch, clamped to [1, hdl.Lanes].
-	// 0 or 1 is the scalar path. Netlist-evaluation backends
-	// (sim.LaneSimulator with monitor.LaneBank) execute a full lane group
-	// bit-parallel, one testcase per bit of every plane word; the
-	// behavioral DUT models (boom/nutshell direct-drive) cannot be
-	// bit-sliced and execute the group's lanes through the scalar path in
-	// ascending lane order — the campaign-level analog of the lane
-	// evaluator's prim scalar spill (docs/SIMULATOR.md). Demuxed outcomes
-	// are folded in canonical lane order either way, so Stats,
-	// PerIteration, checkpoints, and the event stream are byte-identical
-	// for a fixed (Seed, Workers, BatchSize) across every Lanes setting —
-	// the contract TestLaneMatrix pins. Lanes is therefore an operational
-	// knob, not part of the checkpoint Shape.
+	// Lanes only chunks GroupExecutor groups: it is the chunk width a
+	// netlist executor (sim.LaneSimulator with monitor.LaneBank) evaluates
+	// bit-parallel per pass, clamped to [1, hdl.Lanes], with 0 or 1 the
+	// scalar reference path. Group outcomes are folded in canonical lane
+	// order at every width, and behavioral DUTs, which are not
+	// GroupExecutors, ignore it; so Stats, PerIteration, checkpoints, and
+	// the event stream are byte-identical for a fixed (Seed, Workers,
+	// BatchSize) across every Lanes setting — the contract TestLaneMatrix
+	// pins. Lanes is therefore an operational knob, not part of the
+	// checkpoint Shape.
 	Lanes int
 	// Observer receives campaign metrics and structured events (package
 	// obs). nil disables observability at near-zero hot-path cost. Events
@@ -74,14 +69,13 @@ type Options struct {
 	// for a fixed (Seed, Workers, BatchSize).
 	Observer *obs.Observer
 
-	// The remaining fields form the durability surface of the parallel
-	// engine (docs/CAMPAIGNS.md); Run ignores them, and core.Sonar.Fuzz
-	// routes campaigns that use them through RunParallel (Workers <= 1
-	// still reproduces the serial campaign exactly).
+	// The remaining fields form the durability surface of the engine
+	// (docs/CAMPAIGNS.md). They need an executor factory, so only
+	// RunParallelExec and ResumeExec honour them; Run clears them.
 
 	// Checkpoint, when non-empty, is the file periodic campaign snapshots
 	// are written to (atomically, via temp-file+rename) at batch-merge
-	// barriers. A checkpoint restores through Resume into a campaign
+	// barriers. A checkpoint restores through ResumeExec into a campaign
 	// bit-identical to an uninterrupted run for the same (Seed, Workers,
 	// BatchSize).
 	Checkpoint string
@@ -93,7 +87,7 @@ type Options struct {
 	// MaxRounds, when positive, pauses the campaign after that many merge
 	// rounds of this run: a checkpoint is written (when Checkpoint is set)
 	// and the partial Stats are returned without a campaign_end event, so
-	// a later Resume byte-continues the event stream. Time-sliced
+	// a later ResumeExec byte-continues the event stream. Time-sliced
 	// campaigns on shared hosts are the intended use.
 	MaxRounds int
 	// IterTimeout is the per-iteration deadline for parallel workers; a
@@ -162,12 +156,11 @@ type IterStats struct {
 // Stats is the result of a campaign.
 type Stats struct {
 	// PerIteration is the progress series, indexed by the campaign's
-	// canonical iteration order: execution order for Run, and the
-	// coordinator's fold order for RunParallel (each batch round folds
-	// workers in worker order), which is NOT wall-clock completion order —
-	// worker w's k-th batch entry occupies the same slot on every run.
-	// Both engines guarantee len(PerIteration) == Options.Iterations
-	// (TestPerIterationLengthMatchesIterations pins this).
+	// canonical iteration order: the barrier's fold order (each batch round
+	// folds workers in worker order), which is NOT wall-clock completion
+	// order — worker w's k-th batch entry occupies the same slot on every
+	// run. len(PerIteration) == Options.Iterations unless a shard was
+	// abandoned (TestPerIterationLengthMatchesIterations pins this).
 	PerIteration []IterStats
 	// Findings are the detected side channels (dual-differential verified).
 	Findings []*detect.Finding
@@ -193,13 +186,12 @@ type Stats struct {
 	ExecutedCycles int64
 }
 
-// worker owns one shard of a campaign: a private DUT, an RNG stream, and a
-// corpus view. The serial Run is a single worker drained to completion;
-// RunParallel runs several concurrently and merges their feedback between
-// batches.
+// worker owns one shard of a campaign: a private executor, an RNG stream,
+// and a corpus view. Drivers run one batch per worker per round and hand
+// its feedback to the campaign barrier, which merges it between batches.
 type worker struct {
-	// id is the worker's shard index (0 for the serial engine) — the value
-	// fault events and the FaultHook report.
+	// id is the worker's shard index — the value fault events and the
+	// FaultHook report.
 	id        int
 	d         Executor
 	rng       *rand.Rand
@@ -207,12 +199,11 @@ type worker struct {
 	opt       Options
 	retention bool
 	selection bool
-	// src is the counted RNG source behind rng for shard workers; its
-	// cursor is the worker's serializable RNG position (nil for the serial
-	// engine, which never checkpoints).
+	// src is the counted RNG source behind rng; its cursor is the worker's
+	// serializable RNG position.
 	src *countedSource
 	// newSeeds are the seeds retained since the last takeNewSeeds call —
-	// the delta the parallel coordinator re-offers to the global corpus.
+	// the delta the barrier re-offers to the global corpus.
 	newSeeds []*Seed
 	// mutOffered and mutAccepted batch the retention-decision metrics: the
 	// hot loop counts locally and flushMutationMetrics publishes one
@@ -232,29 +223,22 @@ type worker struct {
 	pairs   []ExecPair
 }
 
-func newWorker(d Executor, opt Options, rng *rand.Rand) *worker {
+// newShardWorker builds shard id's worker, whose RNG is a counted source
+// seeded with opt.Seed+id and fast-forwarded to cursor. A cursor of zero
+// gives the exact draw sequence of rand.New(rand.NewSource(opt.Seed+id)) —
+// the determinism contract — and a checkpointed cursor restores the
+// worker's mid-campaign RNG position.
+func newShardWorker(id int, d Executor, opt Options, cursor uint64) *worker {
+	src := newCountedSource(opt.Seed+int64(id), cursor)
 	return &worker{
-		d: d, rng: rng, corpus: NewCorpus(), opt: opt,
+		id: id, d: d, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
 		retention: opt.Retention || opt.Selection || opt.DirectedMutation,
 		selection: opt.Selection || opt.DirectedMutation,
 	}
 }
 
-// newShardWorker builds a parallel shard worker whose RNG is a counted
-// source seeded with opt.Seed+id and fast-forwarded to cursor. A cursor of
-// zero gives the exact draw sequence of rand.New(rand.NewSource(opt.Seed+id))
-// — the parallel determinism contract — and a checkpointed cursor restores
-// the worker's mid-campaign RNG position.
-func newShardWorker(id int, d Executor, opt Options, cursor uint64) *worker {
-	src := newCountedSource(opt.Seed+int64(id), cursor)
-	w := newWorker(d, opt, rand.New(src))
-	w.id = id
-	w.src = src
-	return w
-}
-
 // outcome is one iteration's contribution to campaign statistics, in a form
-// the coordinator can fold into Stats in canonical order.
+// the barrier can fold into Stats in canonical order.
 type outcome struct {
 	tc        *Testcase
 	triggered []int
@@ -369,22 +353,8 @@ func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
 func (w *worker) runBatch(dst []outcome, n, round int) []outcome {
 	if g, ok := w.d.(GroupExecutor); ok && g.GroupWidth() > 1 {
 		dst = w.runBatchGrouped(g, dst, n, round)
-		w.flushMutationMetrics()
-		return dst
-	}
-	lanes := normalizeLanes(w.opt)
-	for base := 0; base < n; base += lanes {
-		group := lanes
-		if base+group > n {
-			group = n - base
-		}
-		// Each group is one logical lane batch (Options.Lanes). Behavioral
-		// DUT models execute its lanes through the scalar path in ascending
-		// lane order — the campaign-level scalar spill — and every lane's
-		// corpus/RNG feedback folds in that same order, so the outcome
-		// stream is identical at every lane width.
-		for lane := 0; lane < group; lane++ {
-			i := base + lane
+	} else {
+		for i := 0; i < n; i++ {
 			if h := w.opt.FaultHook; h != nil {
 				h.BeforeIteration(w.id, round, i)
 			}
@@ -433,7 +403,7 @@ func (w *worker) runBatchGrouped(g GroupExecutor, dst []outcome, n, round int) [
 	return dst
 }
 
-// normalizeLanes resolves Options.Lanes to the effective lane-group width:
+// normalizeLanes resolves Options.Lanes to the effective group chunk width:
 // at least 1 (scalar), at most hdl.Lanes (one testcase per bit of a plane
 // word).
 func normalizeLanes(opt Options) int {
@@ -478,9 +448,8 @@ func analyzeExecutions(tc *Testcase, exA, exB *Execution) *detect.Finding {
 	return finding
 }
 
-// statsAccum folds per-iteration outcomes into campaign statistics in a
-// canonical order, so serial and parallel campaigns build Stats through the
-// same code path.
+// statsAccum folds per-iteration outcomes into campaign statistics in the
+// barrier's canonical order.
 type statsAccum struct {
 	// an is any worker executor's contention analysis: point IDs are
 	// identical across a campaign's executor instances (the Executor
@@ -565,9 +534,8 @@ func (a *statsAccum) apply(o outcome) {
 	}
 }
 
-// applyAll folds one worker's round of outcomes in order — the batched
-// ingestion path of the parallel coordinator's fold goroutine, one call per
-// (worker, round) instead of an interleaved per-outcome fold.
+// applyAll folds one worker's round of outcomes in order — one call per
+// (worker, round) from the barrier's fold.
 func (a *statsAccum) applyAll(outs []outcome) {
 	for i := range outs {
 		a.apply(outs[i])
@@ -589,9 +557,10 @@ func (a *statsAccum) finish() {
 		len(st.Findings), st.CorpusSize, st.ExecutedCycles)
 }
 
-// Run executes a fuzzing campaign on the DUT. Progress is reported through
-// opt.Observer (when set) in execution order, one event group per
-// iteration.
+// Run executes a fuzzing campaign on the DUT: the engine of
+// RunParallelExec at one shard, whose executor is d. Its Stats and event
+// stream are byte-identical to RunParallelExec at Workers=1 (batch_merged
+// events included), and progress is reported through opt.Observer.
 //
 // Only the distinct-request interval (the volatile-contention approach
 // metric, §6.2.1) feeds the corpus — see monitor.MergeMinIntervals;
@@ -599,35 +568,14 @@ func (a *statsAccum) finish() {
 // (§6.2.2), which proved more effective than steering selection by
 // same-path intervals.
 func Run(d *DUT, opt Options) *Stats {
-	w := newWorker(d, opt, rand.New(rand.NewSource(opt.Seed)))
-	acc := newStatsAccum(d.Analysis, opt)
-	// campaign_start reports the same effective (post-clamp) worker count
-	// and batch size RunParallel(Workers=1) would, so the two engines'
-	// event streams agree on the campaign header (the "Workers<=1
-	// reproduces serial" contract extends to the stream; see
-	// TestSerialEventStreamMatchesWorkers1).
-	workers, batch := normalizeParallel(opt)
-	if workers != 1 {
-		workers = 1 // Run is the single-shard engine regardless of opt.Workers
-	}
-	opt.Observer.CampaignStart(d.Analysis.Netlist.Name(), opt.Iterations, workers, batch, opt.Seed)
-	// The serial engine groups iterations into the same lane batches as
-	// runBatch; on behavioral DUTs every lane takes the scalar path, so the
-	// grouping is pure bookkeeping and the fold order never changes.
-	lanes := normalizeLanes(opt)
-	for base := 0; base < opt.Iterations; base += lanes {
-		group := lanes
-		if base+group > opt.Iterations {
-			group = opt.Iterations - base
-		}
-		for lane := 0; lane < group; lane++ {
-			acc.apply(w.runOne())
-			w.flushMutationMetrics()
-		}
-	}
-	acc.st.CorpusSize = w.corpus.Len()
-	acc.finish()
-	return acc.st
+	opt.Workers = 1
+	// Run has one DUT and no factory: a timed-out batch cannot move to a
+	// replacement while its goroutine still holds d, and a checkpoint could
+	// not be resumed through this API. So the durability and fault-injection
+	// fields are cleared; a panicking batch is still retried on d, which
+	// every Execute resets.
+	opt.Checkpoint, opt.CheckpointEvery, opt.MaxRounds, opt.IterTimeout, opt.FaultHook = "", 0, 0, 0, nil
+	return RunParallelExec(func() Executor { return d }, opt)
 }
 
 // singleValidDominated reports whether a point's triggering is dominated by

@@ -32,7 +32,7 @@ const (
 )
 
 // Shape is the campaign-defining subset of Options — the fields that make
-// two campaigns the same campaign. Resume refuses a checkpoint whose shape
+// two campaigns the same campaign. ResumeExec refuses a checkpoint whose shape
 // differs from the offered Options; operational fields (checkpoint paths,
 // timeouts, retry policy, Observer, FaultHook) are not part of the shape
 // and may change across a pause/resume boundary.
@@ -232,8 +232,8 @@ func (st *Stats) Wire() StatsWire {
 	return s
 }
 
-// Checkpoint is a self-describing snapshot of a parallel campaign at a
-// merge barrier: everything Resume needs to continue the campaign
+// Checkpoint is a self-describing snapshot of a campaign at a merge
+// barrier: everything ResumeExec needs to continue the campaign
 // bit-identically — corpus, statistics, per-shard iteration budgets and RNG
 // cursors, and the event-stream position. Produced by campaigns with
 // Options.Checkpoint set, by LoadCheckpoint, and by the shard-lease
@@ -244,7 +244,7 @@ type Checkpoint struct {
 	// DUT is the netlist name of the device under test (informational; the
 	// resuming process supplies its own DUT constructor).
 	DUT string `json:"dut"`
-	// Shape identifies the campaign; Resume validates it.
+	// Shape identifies the campaign; ResumeExec validates it.
 	Shape Shape `json:"shape"`
 	// Done is the campaign position in iterations: executed iterations
 	// plus any dropped by abandoned shards. Done + sum(Rem) always equals
@@ -268,43 +268,6 @@ type Checkpoint struct {
 	Stats StatsWire `json:"stats"`
 	// Corpus is the merged global corpus.
 	Corpus CorpusWire `json:"corpus"`
-}
-
-// buildCheckpoint assembles a Checkpoint from a campaign position at a
-// merge barrier — the shared serialization path of the in-process
-// coordinator and the shard-lease coordinator.
-func buildCheckpoint(dut string, opt Options, left, round int, rem []int, cursors []uint64, complete bool, acc *statsAccum, global *Corpus) *Checkpoint {
-	cp := &Checkpoint{
-		Version:  checkpointVersion,
-		DUT:      dut,
-		Shape:    shapeOf(opt),
-		Done:     opt.Iterations - left,
-		Round:    round,
-		Rem:      append([]int(nil), rem...),
-		Cursors:  append([]uint64(nil), cursors...),
-		EventSeq: opt.Observer.Seq(),
-		Complete: complete,
-	}
-	cp.Stats = acc.st.Wire()
-	cp.Stats.CorpusSize = global.Len()
-	if acc.best != nil {
-		cp.Stats.Best = sortIntvls(acc.best)
-	}
-	cp.Corpus = newCorpusWire(global, 0)
-	return cp
-}
-
-// snapshot captures the coordinator's position as a Checkpoint. Called only
-// at merge barriers, where workers are quiescent and their corpora equal
-// global.Snapshot().
-func (c *coordinator) snapshot(complete bool) *Checkpoint {
-	cursors := make([]uint64, c.workers)
-	for i, w := range c.ws {
-		if w != nil && w.src != nil {
-			cursors[i] = w.src.cursor()
-		}
-	}
-	return buildCheckpoint(c.dut, c.opt, c.left, c.round, c.rem, cursors, complete, c.acc, c.global)
 }
 
 // stats rebuilds the Stats (and the accumulator's best-interval view) of a
@@ -346,7 +309,7 @@ func (cp *Checkpoint) corpus() (*Corpus, error) {
 
 // CampaignOptions returns the Options that re-create the checkpointed
 // campaign's shape. Callers layer their operational choices (Checkpoint
-// path, Observer, timeouts) on top before passing the result to Resume.
+// path, Observer, timeouts) on top before passing the result to ResumeExec.
 func (cp *Checkpoint) CampaignOptions() Options {
 	return cp.Shape.Options()
 }

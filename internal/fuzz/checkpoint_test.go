@@ -79,7 +79,7 @@ func TestCheckpointRoundTripMatchesUninterrupted(t *testing.T) {
 	if cp.Done == 0 || cp.Done >= base.Iterations {
 		t.Fatalf("pause checkpoint at %d/%d iterations", cp.Done, base.Iterations)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestResumeEventStreamByteContinuity(t *testing.T) {
 	_, cp := pausedCampaign(t, popt, 2)
 
 	ropt, rmem := observedOptions(cp.CampaignOptions())
-	resumed, err := Resume(liteFactory, ropt, cp)
+	resumed, err := ResumeExec(liteExec, ropt, cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestResumeShapeMismatchRejected(t *testing.T) {
 	for name, mutate := range mutations {
 		ropt := cp.CampaignOptions()
 		mutate(&ropt)
-		if _, err := Resume(liteFactory, ropt, cp); err == nil {
+		if _, err := ResumeExec(liteExec, ropt, cp); err == nil {
 			t.Errorf("resume with mismatched %s succeeded", name)
 		}
 	}
@@ -234,7 +234,7 @@ func TestResumeShapeMismatchRejected(t *testing.T) {
 	ropt := cp.CampaignOptions()
 	ropt.CheckpointEvery = 7
 	ropt.MaxRounds = 1
-	if _, err := Resume(liteFactory, ropt, cp); err != nil {
+	if _, err := ResumeExec(liteExec, ropt, cp); err != nil {
 		t.Errorf("resume with changed operational fields failed: %v", err)
 	}
 }
@@ -259,7 +259,7 @@ func TestResumeCompleteCheckpoint(t *testing.T) {
 	if cp.Done != opt.Iterations {
 		t.Fatalf("complete checkpoint at %d/%d iterations", cp.Done, opt.Iterations)
 	}
-	st, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	st, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatalf("resume complete checkpoint: %v", err)
 	}
@@ -291,7 +291,7 @@ func TestCheckpointMidPipelineRoundBoundary(t *testing.T) {
 	}
 
 	ropt, rmem := observedOptions(cp.CampaignOptions())
-	resumed, err := Resume(liteFactory, ropt, cp)
+	resumed, err := ResumeExec(liteExec, ropt, cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -325,9 +325,66 @@ func TestPeriodicCheckpointResumable(t *testing.T) {
 	if cp.Done == 0 || cp.Done%8 != 0 {
 		t.Fatalf("periodic checkpoint at %d iterations, want a multiple of 8", cp.Done)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	statsEqual(t, full, resumed)
+}
+
+// Per-shard RNG cursors live in the campaign barrier, not in live workers:
+// a shard that drains before a pause has no worker after the resume, yet the
+// resumed campaign's final checkpoint must still carry its cursor. The
+// final checkpoint of a paused-and-resumed campaign is byte-equal to the
+// uninterrupted run's, and to the lease coordinator's snapshot of the same
+// campaign.
+func TestResumedFinalCheckpointMatchesUninterrupted(t *testing.T) {
+	base := SonarOptions(26)
+	base.Workers = 3
+	base.BatchSize = 4 // shard 2 (8 iterations) drains in the two rounds before the pause
+
+	final := func(path string) []byte {
+		t.Helper()
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cp.Complete {
+			t.Fatalf("%s: final checkpoint not marked complete", path)
+		}
+		b, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	dir := t.TempDir()
+	uopt := base
+	uopt.Checkpoint = filepath.Join(dir, "uninterrupted.ckpt")
+	RunParallel(liteFactory, uopt)
+	want := final(uopt.Checkpoint)
+
+	path, cp := pausedCampaign(t, base, 2)
+	if cp.Rem[2] != 0 {
+		t.Fatalf("shard 2 has %d iterations left at the pause, want a drained shard", cp.Rem[2])
+	}
+	ropt := cp.CampaignOptions()
+	ropt.Checkpoint = path
+	if _, err := ResumeExec(liteExec, ropt, cp); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got := final(path); !bytes.Equal(got, want) {
+		t.Error("resumed final checkpoint differs from the uninterrupted run's")
+	}
+
+	lc := NewLeaseCoordinator(liteFactory(), base)
+	driveLeases(t, lc)
+	got, err := lc.Snapshot(true).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("lease coordinator's final snapshot differs from the uninterrupted run's")
+	}
 }

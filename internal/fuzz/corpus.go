@@ -42,8 +42,8 @@ func (s *Seed) marshal() string {
 
 // anyPoint picks a uniformly random point the seed observed, or -1 if it
 // observed none. It indexes the sorted point ids rather than Go's randomized
-// map order, so equal seeds give equal campaigns (the determinism contract
-// of Run and RunParallel).
+// map order, so equal seeds give equal campaigns (the campaign engine's
+// determinism contract).
 func (s *Seed) anyPoint(rng *rand.Rand) int {
 	s.pointsOnce.Do(func() {
 		s.points = make([]int, 0, len(s.Intvls))

@@ -95,14 +95,10 @@ func NewDUT(soc *uarch.SoC) *DUT {
 // dense signal id — the path parallel campaigns use to analyze once and
 // share the result across every worker and fault-recovery replacement.
 func NewDUTWithAnalysis(soc *uarch.SoC, a *trace.Analysis) *DUT {
-	key := a
 	if a.Netlist != soc.Net {
 		a = a.Rebind(soc.Net)
 	}
-	m := monitor.New(a, monitor.Config{
-		SimilarityMask: ^uint64(uarch.LineBytes - 1),
-		Placement:      monitorPlacement(key, a),
-	})
+	m := monitor.New(a, monitor.Config{SimilarityMask: ^uint64(uarch.LineBytes - 1)})
 	d := &DUT{SoC: soc, Analysis: a, Mon: m}
 	for _, c := range soc.Cores {
 		c.SetWindowObserver(&windowGate{d})

@@ -5,9 +5,9 @@ import "sonar/internal/trace"
 // Executor is the execution substrate a campaign fuzzes: anything that can
 // double-execute testcases and expose the contention-point analysis its
 // snapshots refer to. The behavioral DUT models (package boom/nutshell via
-// *DUT) and the netlist-backed LaneDUT both satisfy it, so every campaign
-// engine — serial batches, RunParallel shards, shard leases — runs unchanged
-// over either substrate.
+// *DUT) and the netlist-backed LaneDUT both satisfy it, so the campaign
+// engine — serial Run, RunParallelExec shards, shard leases — runs
+// unchanged over either substrate.
 //
 // Contract: Execute returns an Execution whose buffers may live in recycled
 // arenas; a result must stay valid across at least one subsequent Execute on

@@ -201,7 +201,7 @@ func TestFaultRecoveryComposesWithResume(t *testing.T) {
 	if fired := sched.Fired(); fired != 1 {
 		t.Fatalf("fired %d faults before the pause, want 1", fired)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatal(err)
 	}

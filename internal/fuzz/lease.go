@@ -6,15 +6,15 @@ import (
 	"sonar/internal/detect"
 )
 
-// Shard leases are the distributed-campaign entry points of the fuzzing
-// engine (docs/SERVICE.md): a coordinating server owns the campaign state a
-// local coordinator would hold — per-shard budgets and RNG cursors, the
-// merged corpus, the stats accumulator — and hands out one batch of one
-// shard at a time as a Lease. Any process can execute a lease with
-// ExecuteLease (a pure function of the lease, the campaign shape and the
-// corpus prefix the worker holds) and report a LeaseResult back; the
-// LeaseCoordinator folds reports at round barriers in canonical worker
-// order, reusing the exact merge and fold code paths of RunParallel. A distributed campaign over a fixed (Seed, Workers,
+// Shard leases are the fleet driver of the campaign barrier
+// (docs/SERVICE.md): a coordinating server owns the barrier a local run
+// keeps in memory — per-shard budgets and RNG cursors, the merged corpus,
+// the stats accumulator — and hands out one batch of one shard at a time as
+// a Lease. Any process can execute a lease with ExecuteLeaseExec (a pure
+// function of the lease, the campaign shape and the corpus prefix the
+// worker holds) and report a LeaseResult back; the LeaseCoordinator decodes
+// reports and closes each round through the same barrier merge and fold a
+// local run uses. A distributed campaign over a fixed (Seed, Workers,
 // BatchSize) therefore produces the same final Stats and a byte-identical
 // event stream to a local run — TestLeaseCoordinatorMatchesRunParallel pins
 // this, and the service integration tests extend it across HTTP.
@@ -107,7 +107,7 @@ type LeaseResult struct {
 	Seeds []SeedWire `json:"seeds"`
 }
 
-// ExecuteLease runs one shard-batch lease to completion and returns its
+// ExecuteLeaseExec runs one shard-batch lease to completion and returns its
 // result. It is a pure function of (shape, lanes, lease, held prefix): it
 // resolves the lease's corpus against the prefix held (a delta lease lists
 // only the seeds past Base), builds a fresh shard worker with the lease's
@@ -115,21 +115,15 @@ type LeaseResult struct {
 // replacement worker re-derives after a fault — and drains the batch
 // through the same runBatch path local workers use. Executing the same
 // lease twice returns equal results, so a lease lost to worker churn can
-// simply be re-offered.
+// simply be re-offered. A GroupExecutor lease drains through the grouped
+// batch loop, whose RNG order is lane-width independent, so re-executions
+// at any Lanes setting still return byte-equal results.
 //
 // held is the worker's decoded prefix of the lease's campaign corpus; on
 // success it holds the lease's full corpus, ready for the next delta. A nil
 // held holds nothing, so only a full lease (Base 0) resolves against it.
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
 // that may differ per worker without changing any result.
-func ExecuteLease(newDUT func() *DUT, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, error) {
-	return ExecuteLeaseExec(func() Executor { return newDUT() }, shape, lanes, l, held)
-}
-
-// ExecuteLeaseExec is ExecuteLease over any Executor factory — the entry
-// point netlist-backed lease workers use. A GroupExecutor lease drains
-// through the grouped batch loop, whose RNG order is lane-width independent,
-// so re-executions at any Lanes setting still return byte-equal results.
 func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
@@ -166,161 +160,81 @@ func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease,
 	return res, nil
 }
 
-// leaseReport is one shard's decoded report for the open round.
-type leaseReport struct {
-	outs   []outcome
-	seeds  []*Seed
-	cursor uint64
-}
-
-// LeaseCoordinator is the server half of a distributed campaign: it owns
-// the state RunParallel's coordinator would hold and advances it one
-// reported lease at a time. Each merge round, every shard with remaining
-// budget is open for exactly one lease; once every open shard has either
-// reported (Report) or been abandoned (Abandon), the round closes — budget
-// accounting and corpus merging in canonical worker order, then the stats
-// fold and event emission in exactly RunParallel's fold order. Fixed (Seed,
-// Workers, BatchSize) topology therefore yields a byte-identical event
-// stream and identical Stats to a local run.
+// LeaseCoordinator is the fleet driver of a campaign's barrier: the wire
+// layer a coordinating server puts in front of the state a local run keeps
+// in memory. Each merge round, every shard with remaining budget is open
+// for exactly one lease; Report decodes a shard's LeaseResult into the open
+// round's record and Abandon marks a shard given up. Once every open shard
+// has resolved, the round closes inline — the barrier's merge, then its
+// fold — so a fixed (Seed, Workers, BatchSize) topology yields the same
+// Stats, event stream and checkpoints as a local run.
 //
 // The coordinator is not safe for concurrent use; callers (the campaign
 // service's controller) serialize access.
 type LeaseCoordinator struct {
-	opt     Options
-	dut     string // netlist name, for checkpoints and campaign_start
-	workers int
-	batch   int
-	rem     []int    // remaining iterations per shard
-	cursors []uint64 // RNG draw count per shard, as of the last barrier
-	left    int      // total remaining iterations
-	round   int      // merge rounds completed
-
-	acc    *statsAccum
-	global *Corpus
-	// sums[n] is the digest of the first n global seeds. The global corpus
-	// is append-only, so the chain only ever extends (see prefixSums).
-	sums []prefixSum
-
-	// Open-round state, reset at each barrier.
-	reported  []*leaseReport // per shard; non-nil = reported this round
-	abandoned [][]string     // per shard; non-nil = abandoned this round, with its failure reasons
-	finished  bool
+	b    *barrier
+	open *roundScratch // the open round's reports and abandonments
 }
 
 // NewLeaseCoordinator opens a distributed campaign: it splits opt's
-// iteration budget into static shards exactly like RunParallel and emits
-// the campaign_start event through opt.Observer. d is the server's own
-// executor instance (a behavioral *DUT or a netlist LaneDUT) — it backs the
-// stats fold (point analysis) and is never executed; workers bring their
-// own.
+// iteration budget into static shards exactly like RunParallelExec and
+// emits the campaign_start event through opt.Observer. d is the server's
+// own executor instance (a behavioral *DUT or a netlist LaneDUT) — it backs
+// the stats fold (point analysis) and is never executed; workers bring
+// their own.
 func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
-	workers, batch := normalizeParallel(opt)
-	rem := make([]int, workers)
-	for i := range rem {
-		rem[i] = opt.Iterations / workers
-		if i < opt.Iterations%workers {
-			rem[i]++
-		}
-	}
-	an := d.ContentionAnalysis()
-	lc := &LeaseCoordinator{
-		opt: opt, dut: an.Netlist.Name(),
-		workers: workers, batch: batch,
-		rem: rem, cursors: make([]uint64, workers), left: opt.Iterations,
-		acc: newStatsAccum(an, opt), global: NewCorpus(),
-		reported:  make([]*leaseReport, workers),
-		abandoned: make([][]string, workers),
-	}
 	observeCompile(opt.Observer, d)
-	opt.Observer.CampaignStart(lc.dut, opt.Iterations, workers, batch, opt.Seed)
-	if lc.left == 0 {
-		lc.finish()
-	}
-	return lc
+	return newLeaseCoordinator(newBarrier(d.ContentionAnalysis(), opt))
 }
 
 // ResumeLeaseCoordinator reopens a distributed campaign from a checkpoint
-// (the lease-granular analog of Resume). opt must describe the same
+// (the lease-granular analog of ResumeExec). opt must describe the same
 // campaign shape as the checkpoint; the resumed coordinator's remaining
 // rounds — Stats and event stream included — are identical to the
 // uninterrupted campaign's.
 func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
-	if err := cp.validate(); err != nil {
-		return nil, err
-	}
-	if got, want := shapeOf(opt), cp.Shape; got != want {
-		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
-	}
-	st, best, err := cp.stats()
+	b, err := resumeBarrier(opt, cp)
 	if err != nil {
 		return nil, err
 	}
-	global, err := cp.corpus()
-	if err != nil {
-		return nil, err
-	}
-	workers, batch := normalizeParallel(opt)
 	observeCompile(opt.Observer, d)
-	acc := newStatsAccum(d.ContentionAnalysis(), opt)
-	acc.st = st
-	if acc.best != nil {
-		for _, pi := range best {
-			acc.best[pi.Point] = pi.Intvl
-		}
-	}
-	var lastIter IterStats
-	if n := len(st.PerIteration); n > 0 {
-		lastIter = st.PerIteration[n-1]
-	}
-	opt.Observer.CampaignResumed(cp.EventSeq, len(st.PerIteration),
-		lastIter.CumPoints, lastIter.CumTimingDiffs, len(st.Findings),
-		global.Len(), st.ExecutedCycles)
+	b.acc.an = d.ContentionAnalysis()
+	return newLeaseCoordinator(b), nil
+}
 
-	lc := &LeaseCoordinator{
-		opt: opt, dut: cp.DUT,
-		workers: workers, batch: batch,
-		rem:     append([]int(nil), cp.Rem...),
-		cursors: append([]uint64(nil), cp.Cursors...),
-		left:    sum(cp.Rem), round: cp.Round,
-		acc: acc, global: global,
-		reported:  make([]*leaseReport, workers),
-		abandoned: make([][]string, workers),
+func newLeaseCoordinator(b *barrier) *LeaseCoordinator {
+	if !b.finished && b.left == 0 {
+		b.finish()
 	}
-	if cp.Complete {
-		lc.acc.st.CorpusSize = lc.global.Len()
-		lc.finished = true // campaign_end was already emitted by the original run
-	} else if lc.left == 0 {
-		lc.finish()
-	}
-	return lc, nil
+	return &LeaseCoordinator{b: b, open: newRoundScratch(b.workers)}
 }
 
 // Shape returns the campaign's shape (effective workers and batch size
-// included) — what lease executors pass to ExecuteLease.
-func (lc *LeaseCoordinator) Shape() Shape { return shapeOf(lc.opt) }
+// included) — what lease executors pass to ExecuteLeaseExec.
+func (lc *LeaseCoordinator) Shape() Shape { return shapeOf(lc.b.opt) }
 
 // DUT returns the netlist name of the device under test.
-func (lc *LeaseCoordinator) DUT() string { return lc.dut }
+func (lc *LeaseCoordinator) DUT() string { return lc.b.dut }
 
 // Finished reports whether the campaign has drained (or dropped) its whole
 // iteration budget and emitted campaign_end.
-func (lc *LeaseCoordinator) Finished() bool { return lc.finished }
+func (lc *LeaseCoordinator) Finished() bool { return lc.b.finished }
 
 // Round returns the number of completed merge rounds.
-func (lc *LeaseCoordinator) Round() int { return lc.round }
+func (lc *LeaseCoordinator) Round() int { return lc.b.round }
 
 // Position returns the campaign position in iterations: executed plus
 // dropped by abandoned shards, as of the last round barrier.
-func (lc *LeaseCoordinator) Position() int { return lc.opt.Iterations - lc.left }
+func (lc *LeaseCoordinator) Position() int { return lc.b.opt.Iterations - lc.b.left }
 
 // Stats returns the accumulated campaign statistics as of the last round
 // barrier. The result is final once Finished reports true; before that it
 // is a live view that later rounds extend.
-func (lc *LeaseCoordinator) Stats() *Stats { return lc.acc.st }
+func (lc *LeaseCoordinator) Stats() *Stats { return lc.b.acc.st }
 
 // CorpusLen returns the merged global corpus size as of the last round
 // barrier (Stats.CorpusSize is only set at campaign end).
-func (lc *LeaseCoordinator) CorpusLen() int { return lc.global.Len() }
+func (lc *LeaseCoordinator) CorpusLen() int { return lc.b.global.Len() }
 
 // OpenShards returns the shards of the current round that still need a
 // lease executed: remaining budget, not yet reported, not abandoned. An
@@ -328,7 +242,7 @@ func (lc *LeaseCoordinator) CorpusLen() int { return lc.global.Len() }
 // the last open shard resolves).
 func (lc *LeaseCoordinator) OpenShards() []int {
 	var open []int
-	for i := 0; i < lc.workers; i++ {
+	for i := 0; i < lc.b.workers; i++ {
 		if lc.openShard(i) {
 			open = append(open, i)
 		}
@@ -337,7 +251,19 @@ func (lc *LeaseCoordinator) OpenShards() []int {
 }
 
 func (lc *LeaseCoordinator) openShard(i int) bool {
-	return !lc.finished && lc.rem[i] > 0 && lc.reported[i] == nil && lc.abandoned[i] == nil
+	return !lc.b.finished && lc.b.rem[i] > 0 && !lc.open.ran[i] && !lc.open.abandoned[i]
+}
+
+// checkShard rejects a shard index outside the campaign or without an open
+// lease this round.
+func (lc *LeaseCoordinator) checkShard(shard int) error {
+	if shard < 0 || shard >= lc.b.workers {
+		return fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.b.workers)
+	}
+	if !lc.openShard(shard) {
+		return fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
+	}
+	return nil
 }
 
 // Lease builds the work assignment for an open shard of the current round.
@@ -350,36 +276,17 @@ func (lc *LeaseCoordinator) openShard(i int) bool {
 // carries only the seeds past it; any mismatch — or the zero value — gets
 // the full corpus.
 func (lc *LeaseCoordinator) Lease(shard int, held CorpusPrefix) (*Lease, error) {
-	if shard < 0 || shard >= lc.workers {
-		return nil, fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
+	if err := lc.checkShard(shard); err != nil {
+		return nil, err
 	}
-	if !lc.openShard(shard) {
-		return nil, fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
-	}
-	n := lc.rem[shard]
-	if n > lc.batch {
-		n = lc.batch
-	}
-	l := &Lease{Shard: shard, Round: lc.round + 1, N: n, Cursor: lc.cursors[shard]}
-	sums := lc.prefixSums()
+	b := lc.b
+	l := &Lease{Shard: shard, Round: b.round + 1, N: b.next(shard), Cursor: b.cursors[shard]}
+	sums := b.prefixSums()
 	if held.Seeds > 0 && held.Seeds < len(sums) && sums[held.Seeds].String() == held.Sum {
 		l.Base, l.BaseSum = held.Seeds, held.Sum
 	}
-	l.Corpus = newCorpusWire(lc.global, l.Base)
+	l.Corpus = newCorpusWire(b.global, l.Base)
 	return l, nil
-}
-
-// prefixSums extends the digest chain over seeds merged since the last
-// call and returns it: element n digests the first n global seeds.
-func (lc *LeaseCoordinator) prefixSums() []prefixSum {
-	if len(lc.sums) == 0 {
-		lc.sums = []prefixSum{{}}
-	}
-	for _, s := range lc.global.seeds[len(lc.sums)-1:] {
-		last := lc.sums[len(lc.sums)-1]
-		lc.sums = append(lc.sums, last.next(s.marshal(), sortIntvls(s.Intvls), s.Dir, s.Target))
-	}
-	return lc.sums
 }
 
 // Report folds one executed lease's result in. The result must belong to an
@@ -392,38 +299,33 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if res == nil {
 		return fmt.Errorf("fuzz: nil lease result")
 	}
-	if res.Shard < 0 || res.Shard >= lc.workers {
-		return fmt.Errorf("fuzz: lease result for shard %d out of range (campaign has %d workers)", res.Shard, lc.workers)
+	if res.Round != lc.b.round+1 {
+		return fmt.Errorf("fuzz: lease result for round %d, campaign is at round %d", res.Round, lc.b.round+1)
 	}
-	if res.Round != lc.round+1 {
-		return fmt.Errorf("fuzz: lease result for round %d, campaign is at round %d", res.Round, lc.round+1)
+	if err := lc.checkShard(res.Shard); err != nil {
+		return err
 	}
-	if !lc.openShard(res.Shard) {
-		return fmt.Errorf("fuzz: shard %d has no open lease this round", res.Shard)
-	}
-	want := lc.rem[res.Shard]
-	if want > lc.batch {
-		want = lc.batch
-	}
-	if len(res.Outcomes) != want {
+	if want := lc.b.next(res.Shard); len(res.Outcomes) != want {
 		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), want)
 	}
-	rep := &leaseReport{cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
+	outs := make([]outcome, len(res.Outcomes))
 	for i := range res.Outcomes {
 		o, err := res.Outcomes[i].outcome()
 		if err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
 		}
-		rep.outs[i] = o
+		outs[i] = o
 	}
+	seeds := make([]*Seed, len(res.Seeds))
 	for i := range res.Seeds {
 		s, err := res.Seeds[i].seed()
 		if err != nil {
 			return fmt.Errorf("fuzz: lease result seed %d: %w", i, err)
 		}
-		rep.seeds = append(rep.seeds, s)
+		seeds[i] = s
 	}
-	lc.reported[res.Shard] = rep
+	rs := lc.open
+	rs.ran[res.Shard], rs.outs[res.Shard], rs.seeds[res.Shard], rs.cursors[res.Shard] = true, outs, seeds, res.Cursor
 	lc.maybeCloseRound()
 	return nil
 }
@@ -435,91 +337,32 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 // by the abandonment disposition — the same degraded-but-deterministic
 // completion a local campaign reaches when a shard exhausts its retries.
 func (lc *LeaseCoordinator) Abandon(shard int, reasons []string) error {
-	if shard < 0 || shard >= lc.workers {
-		return fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
-	}
-	if !lc.openShard(shard) {
-		return fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
+	if err := lc.checkShard(shard); err != nil {
+		return err
 	}
 	if len(reasons) == 0 {
 		return fmt.Errorf("fuzz: abandoning shard %d without failure reasons", shard)
 	}
-	lc.abandoned[shard] = reasons
+	lc.open.fails[shard] = append(lc.open.fails[shard], reasons...)
+	lc.open.abandoned[shard] = true
 	lc.maybeCloseRound()
 	return nil
 }
 
-// maybeCloseRound closes the round barrier once no shard is still open.
+// maybeCloseRound closes the round once no shard is still open: the
+// barrier's merge and fold run inline, then the next round opens.
 func (lc *LeaseCoordinator) maybeCloseRound() {
-	for i := 0; i < lc.workers; i++ {
+	for i := 0; i < lc.b.workers; i++ {
 		if lc.openShard(i) {
 			return
 		}
 	}
-	lc.closeRound()
-}
-
-// closeRound is the merge barrier: budget accounting, cursor advances, and
-// seed re-offers in canonical worker order (runRound's barrier phase), then
-// fault events, the per-shard stats fold, and batch_merged in exactly the
-// order coordinator.fold uses — so the emitted stream matches a local run's
-// byte-for-byte.
-func (lc *LeaseCoordinator) closeRound() {
-	lc.round++
-	merged := 0
-	dropped := make([]int, lc.workers)
-	for i := 0; i < lc.workers; i++ {
-		if lc.abandoned[i] != nil {
-			dropped[i] = lc.rem[i]
-			lc.left -= lc.rem[i]
-			lc.rem[i] = 0
-			continue
-		}
-		rep := lc.reported[i]
-		if rep == nil {
-			continue // shard had no budget this round
-		}
-		n := len(rep.outs)
-		lc.rem[i] -= n
-		lc.left -= n
-		merged += n
-		lc.cursors[i] = rep.cursor
-		for _, s := range rep.seeds {
-			lc.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
-		}
+	lc.b.merge(lc.open)
+	lc.b.fold(lc.open)
+	lc.open.reset(0)
+	if lc.b.left == 0 {
+		lc.b.finish()
 	}
-	for i := 0; i < lc.workers; i++ {
-		reasons := lc.abandoned[i]
-		for a, reason := range reasons {
-			lc.opt.Observer.WorkerFailed(i, lc.round, a+1, reason)
-		}
-		if reasons != nil {
-			lc.opt.Observer.WorkerFailed(i, lc.round, abandonAttempt,
-				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(reasons), dropped[i]))
-		}
-	}
-	for i := 0; i < lc.workers; i++ {
-		if rep := lc.reported[i]; rep != nil {
-			lc.acc.applyAll(rep.outs)
-		}
-	}
-	lc.opt.Observer.BatchMerged(lc.round, merged, lc.global.Len(), 0)
-
-	for i := range lc.reported {
-		lc.reported[i] = nil
-		lc.abandoned[i] = nil
-	}
-	if lc.left == 0 {
-		lc.finish()
-	}
-}
-
-// finish finalizes the campaign: corpus size lands in Stats and
-// campaign_end is emitted, exactly like a local run's completion.
-func (lc *LeaseCoordinator) finish() {
-	lc.acc.st.CorpusSize = lc.global.Len()
-	lc.acc.finish()
-	lc.finished = true
 }
 
 // Snapshot captures the campaign as a Checkpoint at the last closed round
@@ -527,5 +370,5 @@ func (lc *LeaseCoordinator) finish() {
 // resuming the snapshot re-opens that round, and its leases simply
 // re-execute (deterministically) — so a snapshot may be taken at any time.
 func (lc *LeaseCoordinator) Snapshot(complete bool) *Checkpoint {
-	return buildCheckpoint(lc.dut, lc.opt, lc.left, lc.round, lc.rem, lc.cursors, complete, lc.acc, lc.global)
+	return lc.b.snapshot(complete)
 }

@@ -23,9 +23,9 @@ func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
 	if err := json.Unmarshal(lb, &wire); err != nil {
 		t.Fatalf("unmarshal lease: %v", err)
 	}
-	res, err := ExecuteLease(liteFactory, shape, lanes, &wire, nil)
+	res, err := ExecuteLeaseExec(liteExec, shape, lanes, &wire, nil)
 	if err != nil {
-		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
+		t.Fatalf("ExecuteLeaseExec(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
 	rb, err := json.Marshal(res)
 	if err != nil {

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"sonar/internal/obs"
@@ -36,33 +35,12 @@ func TestParallelEventStreamByteIdentical(t *testing.T) {
 	}
 }
 
-// stripBatchMerged drops the coordinator-only batch_merged events and
-// renumbers the remainder — the projection of a parallel stream onto the
-// serial engine's event vocabulary.
-func stripBatchMerged(events []obs.Event) []byte {
-	var b []byte
-	seq := 0
-	for _, e := range events {
-		if e.Kind == obs.BatchMerged {
-			continue
-		}
-		seq++
-		e.Seq = seq
-		enc, err := json.Marshal(e)
-		if err != nil {
-			panic(err)
-		}
-		b = append(append(b, enc...), '\n')
-	}
-	return b
-}
-
 // The "Workers<=1 reproduces serial" contract extends to the event stream:
-// serial Run and RunParallel(Workers=1) emit byte-identical streams once the
-// parallel engine's batch_merged bookkeeping is projected away. In
-// particular both report the same effective batch size in campaign_start
-// (serial Run used to emit batch=0 while Workers=1 emitted the normalized
-// default — the header itself broke the contract).
+// serial Run is the campaign engine at one shard, so its stream — the
+// batch_merged events included — is byte-identical to RunParallel's at
+// Workers=1. In particular both report the same effective batch size in
+// campaign_start (serial Run used to emit batch=0 while Workers=1 emitted
+// the normalized default — the header itself broke the contract).
 func TestSerialEventStreamMatchesWorkers1(t *testing.T) {
 	base := SonarOptions(30)
 
@@ -74,7 +52,7 @@ func TestSerialEventStreamMatchesWorkers1(t *testing.T) {
 	popt, pmem := observedOptions(popt)
 	RunParallel(liteFactory, popt)
 
-	serial, parallel := stripBatchMerged(smem.Events()), stripBatchMerged(pmem.Events())
+	serial, parallel := smem.Bytes(), pmem.Bytes()
 	if len(serial) == 0 {
 		t.Fatal("no events emitted")
 	}

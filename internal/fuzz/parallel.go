@@ -20,48 +20,29 @@ const (
 	maxBackoffShift = 4
 )
 
-// abandonAttempt is the Attempt value of the worker_failed event that
-// reports a shard abandonment. Failed batch attempts are numbered 1..N; the
-// abandonment is a disposition, not an attempt, and carries 0 so it can
-// never collide with a real attempt number (see obs.WorkerFailed).
-const abandonAttempt = 0
-
 // pipelineDepth is the number of recycled round-scratch buffers — and
 // therefore how many merge rounds may be in flight between the worker
 // barrier and the fold goroutine. Two means classic double buffering:
 // workers execute round k+1 while the folder drains round k.
 const pipelineDepth = 2
 
-// coordinator is the state of one parallel campaign run: the shard workers,
-// the static iteration budget per shard, the global corpus, and the stats
-// accumulator. RunParallel and Resume both construct one and drive run().
+// coordinator is the in-process driver of a campaign's barrier: a goroutine
+// pool of shard workers, each on a private executor, that executes one batch
+// per shard per round under the fault supervisor and hands the outcomes and
+// retained seeds to the barrier in memory. RunParallelExec and ResumeExec
+// construct one and drive run().
 //
-// Since the merge barrier was restructured for scaling (docs/PERFORMANCE.md),
-// the coordinator is split in two along the determinism contract:
-//
-//   - the barrier phase (run/runRound, main goroutine) does only the work
-//     the next round depends on: fault dispositions, shard bookkeeping, and
-//     the corpus merge + view distribution, all in canonical worker order;
-//   - the fold phase (fold, a dedicated goroutine) drains everything else —
-//     the per-outcome stats fold and every event emission — from a bounded
-//     queue of completed rounds, in round order, while the workers already
-//     execute the next batch.
-//
-// The fold order is exactly the old serial merge order, so Stats,
-// PerIteration, and the event stream stay byte-identical per (Seed,
-// Workers, BatchSize); only the wall-clock schedule changed.
+// The barrier's two steps run on different goroutines (docs/PERFORMANCE.md):
+// merge on the main goroutine, between rounds, because the next round
+// depends on it; fold on a dedicated goroutine that drains a bounded queue
+// of merged rounds, in round order, while the workers already execute the
+// next batch. Only the wall-clock schedule differs from an inline fold, so
+// Stats, PerIteration, and the event stream stay byte-identical per (Seed,
+// Workers, BatchSize).
 type coordinator struct {
+	b       *barrier
 	newExec func() Executor
-	opt     Options
-	dut     string // netlist name, for checkpoints and campaign_start
-	workers int
-	batch   int
-	ws      []*worker // nil entry = abandoned shard
-	rem     []int     // remaining iterations per shard
-	left    int       // total remaining iterations
-	round   int       // merge rounds completed (cumulative across resumes)
-	acc     *statsAccum
-	global  *Corpus
+	ws      []*worker // nil entry = no executor: abandoned, or drained before a resume
 	// lastSaved and nextCkpt drive periodic checkpointing: a checkpoint is
 	// cut at the first merge barrier at or past every nextCkpt iterations.
 	lastSaved int
@@ -78,47 +59,6 @@ type coordinator struct {
 	inFlight   int
 	free       []*roundScratch
 	scratches  int
-}
-
-// roundScratch is one merge round's recycled buffers and its deferred fold
-// work: per-shard outcomes and fault records (filled during the parallel
-// phase), plus the barrier's summary of what the folder must report.
-// Ownership alternates — the coordinator fills a scratch, hands it to the
-// fold goroutine, and only reuses it after it comes back — so the folder
-// reads each round's data race-free while the next round executes.
-type roundScratch struct {
-	round     int
-	outs      [][]outcome // per shard; capacity recycled across rounds
-	fails     [][]string  // failed-attempt reasons, per shard
-	recovered []bool      // batch succeeded on a replacement worker
-	abandoned []bool      // shard abandoned at this round's barrier
-	dropped   []int       // iterations dropped by the abandonment
-	merged    int         // iterations merged at the barrier
-	corpusLen int         // merged corpus size at the barrier
-	mergeLat  time.Duration
-}
-
-func newRoundScratch(workers int) *roundScratch {
-	return &roundScratch{
-		outs:      make([][]outcome, workers),
-		fails:     make([][]string, workers),
-		recovered: make([]bool, workers),
-		abandoned: make([]bool, workers),
-		dropped:   make([]int, workers),
-	}
-}
-
-// reset readies a scratch for the given round, keeping slice capacity.
-func (rs *roundScratch) reset(round int) {
-	rs.round = round
-	for i := range rs.outs {
-		rs.outs[i] = rs.outs[i][:0]
-		rs.fails[i] = rs.fails[i][:0]
-		rs.recovered[i] = false
-		rs.abandoned[i] = false
-		rs.dropped[i] = 0
-	}
-	rs.merged, rs.corpusLen, rs.mergeLat = 0, 0, 0
 }
 
 // normalizeParallel returns the effective (post-clamp) worker count and
@@ -139,184 +79,102 @@ func normalizeParallel(opt Options) (workers, batch int) {
 	return workers, batch
 }
 
-// RunParallel executes a sharded fuzzing campaign: Options.Workers workers,
-// each owning a private DUT built by newDUT, execute batches of testcases
-// against private corpus views; after every batch round the coordinator
-// merges retained seeds into the global corpus in canonical worker order and
-// restarts every worker from the merged view, while a fold goroutine drains
-// the round's statistics and events off the workers' critical path.
+// RunParallelExec executes a sharded fuzzing campaign: Options.Workers
+// workers, each owning a private executor built by newExec, execute batches
+// of testcases against private corpus views; after every batch round the
+// barrier merges retained seeds into the global corpus in canonical worker
+// order and every worker restarts from the merged view, while a fold
+// goroutine drains the round's statistics and events off the workers'
+// critical path.
 //
 // Determinism contract: worker w draws from rand.NewSource(opt.Seed+w), the
 // batch schedule is static, and merges happen in worker order, so a
-// campaign is reproducible for a fixed (Seed, Workers, BatchSize) — and
-// Workers <= 1 reproduces Run's serial campaign exactly. The contract
-// extends to observability: opt.Observer's events are emitted only by the
-// coordinator's fold goroutine, one round at a time in fold order, so the
-// merged event stream (and Stats.PerIteration, which it mirrors) is
-// byte-identical across runs; worker goroutines update atomic metrics only.
+// campaign is reproducible for a fixed (Seed, Workers, BatchSize); serial
+// Run is this engine at Workers=1. The contract extends to observability:
+// opt.Observer's events are emitted only by the fold goroutine, one round at
+// a time in fold order, so the event stream (and Stats.PerIteration, which
+// it mirrors) is byte-identical across runs; worker goroutines update atomic
+// metrics only.
 //
 // Durability (docs/CAMPAIGNS.md): with Options.Checkpoint set, the
 // coordinator writes an atomic campaign snapshot at merge barriers every
 // CheckpointEvery iterations (draining the fold pipeline first, so the
-// snapshot is exact); Resume restores one into a campaign whose remaining
-// iterations — Stats and event stream included — are identical to the
-// uninterrupted run. Worker panics and (with IterTimeout) wedged iterations
-// are recovered by retrying the batch on a replacement worker; a shard that
-// keeps failing is abandoned and the campaign completes on the remaining
-// workers.
+// snapshot is exact); ResumeExec restores one into a campaign whose
+// remaining iterations — Stats and event stream included — are identical to
+// the uninterrupted run. Worker panics and (with IterTimeout) wedged
+// iterations are recovered by retrying the batch on a replacement worker; a
+// shard that keeps failing is abandoned and the campaign completes on the
+// remaining workers.
+func RunParallelExec(newExec func() Executor, opt Options) *Stats {
+	workers, _ := normalizeParallel(opt)
+	ws := buildWorkers(newExec, opt, make([]uint64, workers), nil)
+	observeCompile(opt.Observer, ws[0].d)
+	b := newBarrier(ws[0].d.ContentionAnalysis(), opt)
+	c := &coordinator{b: b, newExec: newExec, ws: ws, lastSaved: -1, nextCkpt: checkpointEvery(opt)}
+	return c.run()
+}
+
+// RunParallel is RunParallelExec over a behavioral-DUT factory. New code
+// passes an Executor factory to RunParallelExec; this form stays for the
+// callers that still hold a *DUT factory, the perfbench harness among them.
 func RunParallel(newDUT func() *DUT, opt Options) *Stats {
 	return RunParallelExec(func() Executor { return newDUT() }, opt)
 }
 
-// RunParallelExec is RunParallel over any Executor factory — the entry point
-// netlist-backed campaigns (fuzz.LaneDUT) use. RunParallel is a thin wrapper
-// for behavioral-DUT factories.
-func RunParallelExec(newExec func() Executor, opt Options) *Stats {
-	workers, batch := normalizeParallel(opt)
-
-	// One private executor per worker; elaboration and analysis are
-	// independent and deterministic, so build them concurrently.
-	ws := make([]*worker, workers)
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ws[i] = newShardWorker(i, newExec(), opt, 0)
-		}(i)
-	}
-	wg.Wait()
-	observeCompile(opt.Observer, ws[0].d)
-
-	// Static shard sizes: worker w owns iterations w, w+workers, ... of the
-	// budget, drained in fixed-size batches.
-	rem := make([]int, workers)
-	for i := range rem {
-		rem[i] = opt.Iterations / workers
-		if i < opt.Iterations%workers {
-			rem[i]++
-		}
-	}
-
-	an := ws[0].d.ContentionAnalysis()
-	c := &coordinator{
-		newExec: newExec, opt: opt, dut: an.Netlist.Name(),
-		workers: workers, batch: batch,
-		ws: ws, rem: rem, left: opt.Iterations,
-		acc: newStatsAccum(an, opt), global: NewCorpus(),
-		lastSaved: -1, nextCkpt: checkpointEvery(opt),
-	}
-	opt.Observer.CampaignStart(c.dut, opt.Iterations, workers, batch, opt.Seed)
-	return c.run()
-}
-
-// Resume continues a checkpointed campaign. opt must describe the same
+// ResumeExec continues a checkpointed campaign. opt must describe the same
 // campaign shape (Seed, Workers, BatchSize, iteration budget, strategy
 // switches) as the checkpoint; operational fields (Checkpoint,
 // CheckpointEvery, MaxRounds, IterTimeout, retry policy, Observer,
-// FaultHook) are free to differ — the usual way to build opt is
+// FaultHook, Lanes) are free to differ — the usual way to build opt is
 // cp.CampaignOptions() plus operational overrides.
 //
 // The resumed campaign is bit-identical to the uninterrupted run: the final
-// Stats match, and the event stream emitted after Resume byte-continues the
-// stream the interrupted run emitted before the checkpoint (sequence
-// numbers included; no campaign_start is re-emitted).
-func Resume(newDUT func() *DUT, opt Options, cp *Checkpoint) (*Stats, error) {
-	return ResumeExec(func() Executor { return newDUT() }, opt, cp)
+// Stats and checkpoint match, and the event stream emitted after ResumeExec
+// byte-continues the stream the interrupted run emitted before the
+// checkpoint (sequence numbers included; no campaign_start is re-emitted).
+func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
+	b, err := resumeBarrier(opt, cp)
+	if err != nil {
+		return nil, err
+	}
+	// Drained and abandoned shards need no executor; their cursors stay in
+	// the barrier.
+	ws := buildWorkers(newExec, opt, b.cursors, b.rem)
+	for _, w := range ws {
+		if w == nil {
+			continue
+		}
+		w.corpus = b.global.view()
+		if b.acc.an == nil {
+			// Any live worker's analysis serves the accumulator: point IDs
+			// are identical across a campaign's executor instances.
+			b.acc.an = w.d.ContentionAnalysis()
+			observeCompile(opt.Observer, w.d)
+		}
+	}
+	c := &coordinator{b: b, newExec: newExec, ws: ws, lastSaved: cp.Done, nextCkpt: nextCheckpointAfter(cp.Done, opt)}
+	return c.run(), nil
 }
 
-// ResumeExec is Resume over any Executor factory; Resume is a thin wrapper
-// for behavioral-DUT factories.
-func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
-	if err := cp.validate(); err != nil {
-		return nil, err
-	}
-	if got, want := shapeOf(opt), cp.Shape; got != want {
-		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
-	}
-
-	st, best, err := cp.stats()
-	if err != nil {
-		return nil, err
-	}
-	global, err := cp.corpus()
-	if err != nil {
-		return nil, err
-	}
-
-	workers, batch := normalizeParallel(opt)
-	ws := make([]*worker, workers)
+// buildWorkers builds a shard worker on a private executor for every shard
+// with budget left (every shard when rem is nil), its RNG replayed to
+// cursors[i]. Elaboration and analysis are independent and deterministic,
+// so the executors are built concurrently.
+func buildWorkers(newExec func() Executor, opt Options, cursors []uint64, rem []int) []*worker {
+	ws := make([]*worker, len(cursors))
 	var wg sync.WaitGroup
 	for i := range ws {
-		if cp.Rem[i] == 0 {
-			continue // drained or abandoned shard: no executor needed
+		if rem != nil && rem[i] == 0 {
+			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ws[i] = newShardWorker(i, newExec(), opt, cp.Cursors[i])
+			ws[i] = newShardWorker(i, newExec(), opt, cursors[i])
 		}(i)
 	}
 	wg.Wait()
-	// Distribute copy-on-write views of the restored corpus on this
-	// goroutine (view marks the corpus frozen, which must not race).
-	for _, w := range ws {
-		if w != nil {
-			w.corpus = global.view()
-		}
-	}
-
-	acc := newStatsAccum(nil, opt)
-	acc.st = st
-	for _, w := range ws {
-		// Any live worker's analysis serves the accumulator: point IDs are
-		// identical across a campaign's executor instances.
-		if w != nil {
-			acc.an = w.d.ContentionAnalysis()
-			observeCompile(opt.Observer, w.d)
-			break
-		}
-	}
-	if acc.best != nil {
-		for _, pi := range best {
-			acc.best[pi.Point] = pi.Intvl
-		}
-	}
-
-	var lastIter IterStats
-	if n := len(st.PerIteration); n > 0 {
-		lastIter = st.PerIteration[n-1]
-	}
-	opt.Observer.CampaignResumed(cp.EventSeq, len(st.PerIteration),
-		lastIter.CumPoints, lastIter.CumTimingDiffs, len(st.Findings),
-		global.Len(), st.ExecutedCycles)
-
-	c := &coordinator{
-		newExec: newExec, opt: opt, dut: cp.DUT, workers: workers, batch: batch,
-		ws: ws, rem: append([]int(nil), cp.Rem...), left: sum(cp.Rem),
-		round: cp.Round, acc: acc, global: global,
-		lastSaved: cp.Done, nextCkpt: nextCheckpointAfter(cp.Done, opt),
-	}
-	if cp.Complete || c.left == 0 {
-		// The checkpoint already marks completion (or nothing remains):
-		// finalize without re-executing or re-emitting campaign_end if the
-		// original run already emitted it.
-		c.acc.st.CorpusSize = c.global.Len()
-		if !cp.Complete {
-			c.writeCheckpoint(true)
-			c.acc.finish()
-		}
-		return c.acc.st, nil
-	}
-	return c.run(), nil
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
+	return ws
 }
 
 // checkpointEvery resolves the effective checkpoint period.
@@ -340,37 +198,37 @@ func nextCheckpointAfter(done int, opt Options) int {
 // draining earlier rounds, and every path that reads the accumulator or the
 // event-stream position (checkpoints, pause, completion) drains it first.
 func (c *coordinator) run() *Stats {
+	b := c.b
+	if b.finished {
+		return b.acc.st // a complete checkpoint: nothing left to execute or emit
+	}
 	c.startFolder()
-	roundsThisRun := 0
-	for c.left > 0 {
-		if c.opt.MaxRounds > 0 && roundsThisRun >= c.opt.MaxRounds {
-			// Pause: persist the position and return the partial Stats
-			// without campaign_end, so a later Resume byte-continues the
-			// event stream.
-			c.drainFolds()
-			c.stopFolder()
-			c.writeCheckpoint(false)
-			c.acc.st.CorpusSize = c.global.Len()
-			return c.acc.st
+	for rounds := 0; b.left > 0; rounds++ {
+		if b.opt.MaxRounds > 0 && rounds >= b.opt.MaxRounds {
+			break
 		}
-		c.round++
-		roundsThisRun++
 		rs := c.acquireScratch()
 		c.runRound(rs)
 		c.foldCh <- rs
 		c.inFlight++
-		if c.opt.Iterations-c.left >= c.nextCkpt {
+		if done := b.opt.Iterations - b.left; done >= c.nextCkpt {
 			c.drainFolds()
 			c.writeCheckpoint(false)
-			c.nextCkpt = nextCheckpointAfter(c.opt.Iterations-c.left, c.opt)
+			c.nextCkpt = nextCheckpointAfter(done, b.opt)
 		}
 	}
 	c.drainFolds()
 	c.stopFolder()
-	c.acc.st.CorpusSize = c.global.Len()
-	c.writeCheckpoint(true)
-	c.acc.finish()
-	return c.acc.st
+	complete := b.left == 0
+	c.writeCheckpoint(complete)
+	if !complete {
+		// Paused by MaxRounds: the partial Stats go back without
+		// campaign_end, so a later resume byte-continues the event stream.
+		b.acc.st.CorpusSize = b.global.Len()
+		return b.acc.st
+	}
+	b.finish()
+	return b.acc.st
 }
 
 // startFolder launches the fold goroutine that drains merged rounds.
@@ -381,7 +239,7 @@ func (c *coordinator) startFolder() {
 	go func() {
 		defer close(c.folderExit)
 		for rs := range c.foldCh {
-			c.fold(rs)
+			c.b.fold(rs)
 			c.foldDone <- rs
 		}
 	}()
@@ -407,7 +265,7 @@ func (c *coordinator) acquireScratch() *roundScratch {
 	}
 	if c.scratches < pipelineDepth {
 		c.scratches++
-		return newRoundScratch(c.workers)
+		return newRoundScratch(c.b.workers)
 	}
 	rs := <-c.foldDone
 	c.inFlight--
@@ -424,110 +282,36 @@ func (c *coordinator) drainFolds() {
 	}
 }
 
-// runRound executes one batch round's barrier work: the parallel phase
-// (each live shard drains one batch under the fault supervisor into the
-// round's scratch), then — workers quiescent — the fault dispositions and
-// the corpus merge in canonical worker order. Everything the next round
-// does not depend on (the stats fold, all event emission) is left in the
-// scratch for the fold goroutine, so the serial section of a round is just
-// the seed re-offers and scheduling bookkeeping.
+// runRound executes one batch round: the parallel phase (each live shard
+// drains one batch under the fault supervisor into the round's scratch),
+// then — workers quiescent — the barrier merge and, when the merge changed
+// the corpus, the distribution of fresh views. Everything the next round
+// does not depend on is left in the scratch for the fold goroutine.
 func (c *coordinator) runRound(rs *roundScratch) {
-	rs.reset(c.round)
+	rs.reset(c.b.round + 1)
 	var wg sync.WaitGroup
 	for i, w := range c.ws {
-		if w == nil {
-			continue
+		if n := c.b.next(i); w != nil && n > 0 {
+			wg.Add(1)
+			go func(i, n int) {
+				defer wg.Done()
+				c.superviseShard(i, n, rs)
+			}(i, n)
 		}
-		n := c.rem[i]
-		if n > c.batch {
-			n = c.batch
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			c.superviseShard(i, n, rs)
-		}(i, n)
 	}
 	wg.Wait()
 
-	mergeStart := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
-	// Barrier merge, canonical worker order: decide fault dispositions,
-	// account drained iterations, and re-offer retained seeds to the global
-	// corpus (re-offering drops seeds another worker has already beaten).
-	versionAtStart := c.global.version
-	refresh := false
-	for i, w := range c.ws {
-		if w == nil {
-			continue
-		}
-		if len(rs.fails[i]) > 0 && !rs.recovered[i] {
-			// Abandon the shard: its budget is dropped and the campaign
-			// degrades to the remaining workers. The folder reports it.
-			rs.abandoned[i] = true
-			rs.dropped[i] = c.rem[i]
-			c.left -= c.rem[i]
-			c.rem[i] = 0
-			c.ws[i] = nil
-			continue
-		}
-		c.rem[i] -= len(rs.outs[i])
-		c.left -= len(rs.outs[i])
-		rs.merged += len(rs.outs[i])
-		if seeds := w.takeNewSeeds(); len(seeds) > 0 {
-			refresh = true
-			for _, s := range seeds {
-				c.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
-			}
-		}
-	}
-
-	// Distribute: when the merge changed the corpus (or any worker diverged
-	// by retaining locally), every worker restarts from a fresh
-	// copy-on-write view of the merged global; unchanged rounds — the
-	// steady state once retention has converged — distribute nothing at
-	// all, since every worker's view already equals the global corpus.
-	if refresh || c.global.version != versionAtStart {
+	// When a shard retained seeds, every worker restarts from a fresh
+	// copy-on-write view of the merged global; unchanged rounds — the steady
+	// state once retention has converged — distribute nothing at all, since
+	// every worker's view already equals the global corpus.
+	if c.b.merge(rs) {
 		for _, w := range c.ws {
-			if w == nil {
-				continue
+			if w != nil {
+				w.corpus = c.b.global.view()
 			}
-			w.corpus = c.global.view()
 		}
 	}
-	rs.corpusLen = c.global.Len()
-	rs.mergeLat = time.Since(mergeStart) //sonar:nondeterministic-ok operator-facing duration metric only
-}
-
-// fold drains one merged round on the fold goroutine, in exactly the order
-// the pre-pipeline coordinator used: fault events per shard (each failed
-// attempt, then the recovery or abandonment disposition), the per-outcome
-// stats fold in worker order, then the batch_merged event carrying the
-// barrier's corpus summary. This is the only goroutine that touches the
-// accumulator or emits events while a campaign runs, so the event stream
-// stays deterministic — and it runs concurrently with the next round's
-// execution, off the workers' critical path.
-func (c *coordinator) fold(rs *roundScratch) {
-	for i := range rs.fails {
-		for a, reason := range rs.fails[i] {
-			c.opt.Observer.WorkerFailed(i, rs.round, a+1, reason)
-		}
-		if len(rs.fails[i]) == 0 {
-			continue
-		}
-		if rs.abandoned[i] {
-			c.opt.Observer.WorkerFailed(i, rs.round, abandonAttempt,
-				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(rs.fails[i]), rs.dropped[i]))
-		} else {
-			c.opt.Observer.BatchRetried(i, rs.round, len(rs.fails[i])+1)
-		}
-	}
-	for i := range rs.outs {
-		c.acc.applyAll(rs.outs[i])
-	}
-	c.opt.Observer.BatchMerged(rs.round, rs.merged, rs.corpusLen, rs.mergeLat)
 }
 
 // superviseShard drains one batch of n iterations on shard i, retrying on a
@@ -536,73 +320,68 @@ func (c *coordinator) fold(rs *roundScratch) {
 // cursor against a fresh snapshot of the global corpus — the global corpus
 // is immutable during the parallel phase, so the replayed batch produces
 // outcomes identical to the fault-free run. After MaxRetries failed
-// retries the shard is left failed; the coordinator abandons it.
+// retries the shard is abandoned: its worker is dropped and the barrier
+// drops its budget.
 //
 // Only the first attempt writes into the recycled rs.outs[i] scratch; a
 // failed attempt's goroutine may linger (a stalled batch runs to its own
 // end or forever), so after any failure the scratch buffer is surrendered
 // to that goroutine and retries append to fresh allocations.
 func (c *coordinator) superviseShard(i, n int, rs *roundScratch) {
-	maxRetries := c.opt.MaxRetries
+	opt := &c.b.opt
+	maxRetries := opt.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = defaultMaxRetries
 	} else if maxRetries < 0 {
 		maxRetries = 0
 	}
-	backoff := c.opt.RetryBackoff
+	backoff := opt.RetryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	cursor := uint64(0)
-	if w := c.ws[i]; w != nil && w.src != nil {
-		cursor = w.src.cursor()
-	}
+	cursor := c.b.cursors[i]
 	dst := rs.outs[i]
 	for attempt := 0; ; attempt++ {
 		w := c.ws[i]
 		if attempt > 0 {
-			shift := attempt - 1
-			if shift > maxBackoffShift {
-				shift = maxBackoffShift
-			}
+			shift := min(attempt-1, maxBackoffShift)
 			time.Sleep(backoff << uint(shift))
 			w = nil   // build a replacement inside the attempt goroutine
 			dst = nil // the failed attempt's goroutine owns the scratch now
 		}
-		res, err := c.attemptBatch(w, dst, i, n, cursor)
+		w, outs, err := c.attemptBatch(w, dst, i, n, rs.round, cursor)
 		if err == nil {
-			rs.outs[i] = res.outs
-			c.ws[i] = res.w
-			rs.recovered[i] = attempt > 0
+			c.ws[i] = w
+			rs.ran[i] = true
+			rs.outs[i] = outs
+			rs.seeds[i] = w.takeNewSeeds()
+			rs.cursors[i] = w.src.cursor()
 			return
 		}
 		rs.fails[i] = append(rs.fails[i], err.Error())
 		if attempt >= maxRetries {
+			c.ws[i] = nil
+			rs.abandoned[i] = true
 			rs.outs[i] = nil // surrendered to the lingering goroutine
 			return
 		}
 	}
 }
 
-// attemptResult carries one successful batch attempt: its outcomes and the
-// worker that produced them (the original, or a freshly built replacement).
-type attemptResult struct {
-	outs []outcome
-	w    *worker
-}
-
 // attemptBatch runs one batch attempt in its own goroutine, recovering
-// panics and enforcing the per-batch deadline (n × IterTimeout). w == nil
-// means "build a replacement worker": a fresh DUT with the shard's RNG
-// replayed to the pre-batch cursor and a fresh global-corpus snapshot —
-// built inside the attempt goroutine so a panicking DUT constructor is
-// recovered like any other worker fault. An abandoned (stalled) attempt's
-// goroutine keeps only private state (including the dst buffer it was
-// given) and sends into 1-buffered channels, so it can finish late, or
-// never, without racing or leaking a send.
-func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor uint64) (attemptResult, error) {
-	done := make(chan attemptResult, 1)
+// panics and enforcing the per-batch deadline (n × IterTimeout), and returns
+// the worker that ran it with its outcomes. w == nil means "build a
+// replacement worker": a fresh executor with the shard's RNG replayed to
+// the pre-batch cursor and a fresh global-corpus snapshot — built inside
+// the attempt goroutine so a panicking executor constructor is recovered
+// like any other worker fault. An abandoned (stalled) attempt's goroutine
+// keeps only private state (including the dst buffer it was given) and
+// sends into 1-buffered channels, so it can finish late, or never, without
+// racing or leaking a send.
+func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n, round int, cursor uint64) (*worker, []outcome, error) {
+	done := make(chan *worker, 1)
 	failed := make(chan string, 1)
+	opt := &c.b.opt
 	start := time.Now() //sonar:nondeterministic-ok batch wall time feeds worker-busy metrics, not canonical output
 	go func() {
 		defer func() {
@@ -611,30 +390,31 @@ func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor ui
 			}
 		}()
 		if w == nil {
-			w = newShardWorker(i, c.newExec(), c.opt, cursor)
+			w = newShardWorker(i, c.newExec(), *opt, cursor)
 			// Deep-copy snapshot, not a view: view() mutates the global
 			// corpus's freeze flag, which must not race with other shards'
 			// replacement builds during the parallel phase. Content equals
 			// the view the original worker held, so the replay is exact.
-			w.corpus = c.global.Snapshot()
+			w.corpus = c.b.global.Snapshot()
 		}
-		done <- attemptResult{outs: w.runBatch(dst, n, c.round), w: w}
+		dst = w.runBatch(dst, n, round)
+		done <- w
 	}()
 
 	var deadline <-chan time.Time
-	if c.opt.IterTimeout > 0 {
-		t := time.NewTimer(time.Duration(n) * c.opt.IterTimeout)
+	if opt.IterTimeout > 0 {
+		t := time.NewTimer(time.Duration(n) * opt.IterTimeout)
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
-	case res := <-done:
-		c.opt.Observer.WorkerBatch(i, n, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
-		return res, nil
+	case w := <-done:
+		opt.Observer.WorkerBatch(i, n, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
+		return w, dst, nil
 	case msg := <-failed:
-		return attemptResult{}, fmt.Errorf("%s", msg)
+		return nil, nil, fmt.Errorf("%s", msg)
 	case <-deadline:
-		return attemptResult{}, fmt.Errorf("batch deadline exceeded (%d iterations × %v)", n, c.opt.IterTimeout)
+		return nil, nil, fmt.Errorf("batch deadline exceeded (%d iterations × %v)", n, opt.IterTimeout)
 	}
 }
 
@@ -646,19 +426,19 @@ func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor ui
 // itself never aborts on checkpoint I/O errors (the operator loses
 // durability, not results).
 func (c *coordinator) writeCheckpoint(complete bool) {
-	if c.opt.Checkpoint == "" {
+	opt := &c.b.opt
+	if opt.Checkpoint == "" {
 		return
 	}
-	done := c.opt.Iterations - c.left
+	done := opt.Iterations - c.b.left
 	if !complete && done == c.lastSaved {
 		return // already persisted at this position
 	}
 	start := time.Now() //sonar:nondeterministic-ok checkpoint save duration feeds a metric, not canonical output
-	cp := c.snapshot(complete)
-	size, err := cp.Save(c.opt.Checkpoint)
+	size, err := c.b.snapshot(complete).Save(opt.Checkpoint)
 	if err != nil {
 		return
 	}
 	c.lastSaved = done
-	c.opt.Observer.CheckpointSaved(done, size, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
+	opt.Observer.CheckpointSaved(done, size, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
 }

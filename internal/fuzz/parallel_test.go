@@ -12,6 +12,9 @@ func liteFactory() *DUT {
 	return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil))
 }
 
+// liteExec is liteFactory as an Executor factory.
+func liteExec() Executor { return liteFactory() }
+
 // statsEqual compares everything a campaign reports except the finding
 // pointers themselves.
 func statsEqual(t *testing.T, a, b *Stats) {
@@ -163,7 +166,9 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	d := liteFactory()
 	dirs := map[int]int{}
 	for seed := int64(0); seed < 16; seed++ {
-		w := newWorker(d, SonarOptions(1), rand.New(rand.NewSource(seed)))
+		opt := SonarOptions(1)
+		opt.Seed = seed
+		w := newShardWorker(0, d, opt, 0)
 		w.runOne() // first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++

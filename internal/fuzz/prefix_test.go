@@ -91,9 +91,9 @@ func TestLeaseDeltaCarriesSuffix(t *testing.T) {
 		if err := json.Unmarshal(wireJSON(t, delta), &wire); err != nil {
 			t.Fatalf("unmarshal delta lease: %v", err)
 		}
-		res, err := ExecuteLease(func() *DUT { return reused }, lc.Shape(), 1, &wire, held)
+		res, err := ExecuteLeaseExec(func() Executor { return reused }, lc.Shape(), 1, &wire, held)
 		if err != nil {
-			t.Fatalf("ExecuteLease(held %d): %v", n, err)
+			t.Fatalf("ExecuteLeaseExec(held %d): %v", n, err)
 		}
 		if got := wireJSON(t, res); !bytes.Equal(got, want) {
 			t.Fatalf("held %d: delta lease result differs from the full lease's", n)
@@ -162,7 +162,7 @@ func TestLeaseForgedBaseRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(&forged)
-		if _, err := ExecuteLease(liteFactory, lc.Shape(), 1, &forged, held); err == nil {
+		if _, err := ExecuteLeaseExec(liteExec, lc.Shape(), 1, &forged, held); err == nil {
 			t.Errorf("%s: forged lease executed", name)
 		}
 		if got := held.Prefix(); got != before {
@@ -170,11 +170,11 @@ func TestLeaseForgedBaseRejected(t *testing.T) {
 		}
 	}
 	// A delta lease without any held prefix is just as forged.
-	if _, err := ExecuteLease(liteFactory, lc.Shape(), 1, delta, nil); err == nil {
+	if _, err := ExecuteLeaseExec(liteExec, lc.Shape(), 1, delta, nil); err == nil {
 		t.Error("delta lease executed without a held prefix")
 	}
 	// The genuine delta still resolves afterwards.
-	if _, err := ExecuteLease(liteFactory, lc.Shape(), 1, delta, held); err != nil {
+	if _, err := ExecuteLeaseExec(liteExec, lc.Shape(), 1, delta, held); err != nil {
 		t.Fatalf("genuine delta lease rejected: %v", err)
 	}
 }

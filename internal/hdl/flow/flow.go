@@ -10,10 +10,9 @@
 // campaign needs triaged: where can contention exist at all (the surface),
 // which of those points can an attacker actually steer (attacker taint
 // reaching a select), which can the secret actually reach (secret taint
-// reaching the cone), and in what order should the monitors be placed so
-// the highest-risk points come first. Placement rank never changes campaign
-// bytes — it only orders the already-deterministic monitored point list —
-// which is what lets the fuzzing engines adopt it by default.
+// reaching the cone), and which points carry the highest risk. The rank is
+// a report for humans (sonar-audit, fleet submit summaries); campaigns
+// instrument every monitorable point in ID order and never consult it.
 //
 // Like internal/hdl/check, the audit reports structured findings instead of
 // a flat error: cross-check discrepancies between the surface and
@@ -365,10 +364,9 @@ func (au *Audit) TaintedPoints() int {
 }
 
 // MonitorRankIDs returns the IDs of the monitorable points in placement
-// rank order — the ordering the fuzzing engines hand to monitor placement.
-// Point IDs are stable across independently elaborated instances of the
-// same design (trace.Analysis.Rebind), so the slice can be computed once
-// and applied to every worker's rebound analysis.
+// rank order, highest risk first. Point IDs are stable across
+// independently elaborated instances of the same design
+// (trace.Analysis.Rebind), so the ranking applies to every instance.
 func (au *Audit) MonitorRankIDs() []int {
 	var ids []int
 	for _, p := range au.Points {

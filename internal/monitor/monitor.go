@@ -84,21 +84,10 @@ type Config struct {
 	// any valid-carrying request still never produce events (there is
 	// nothing to watch), but their monitors are carried.
 	IgnoreFilter bool
-	// Placement, when non-nil, is the exact ordered point list to
-	// instrument, overriding the default Monitored()/IgnoreFilter
-	// selection. The fuzzing engines pass the flow audit's rank order here;
-	// placement only reorders monitor-internal state, never the
-	// ID-keyed campaign outputs (Snapshot.Triggered and the interval maps
-	// are placement-invariant).
-	Placement []*trace.Point
 }
 
-// placementPoints resolves the ordered point list a monitor instruments
-// under this config.
-func (cfg *Config) placementPoints(a *trace.Analysis) []*trace.Point {
-	if cfg.Placement != nil {
-		return cfg.Placement
-	}
+// points returns the point list a monitor under this config instruments.
+func (cfg *Config) points(a *trace.Analysis) []*trace.Point {
 	if cfg.IgnoreFilter {
 		return a.Points
 	}
@@ -124,7 +113,7 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 		cfg.SimilarityMask = ^uint64(0)
 	}
 	m := &Monitor{net: a.Netlist, cfg: cfg}
-	points := cfg.placementPoints(a)
+	points := cfg.points(a)
 	m.states = newPointStates(points)
 	for pi, p := range points {
 		st := m.states[pi]

@@ -98,9 +98,9 @@ func snapshotInto(s *Snapshot, states []*pointState) {
 
 // Triggered returns the IDs of points where any contention was triggered:
 // a volatile simultaneous arrival or a persistent same-path revisit. The
-// IDs are sorted ascending regardless of monitor placement order, so the
-// result (and every event stream built from it) is invariant under
-// audit-ranked placement permutations.
+// IDs are sorted ascending regardless of the monitor's internal point
+// order, so the result (and every event stream built from it) is keyed by
+// ID alone.
 func (s *Snapshot) Triggered() []int {
 	var ids []int
 	for i := range s.Points {
