@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sonar/internal/boom"
 	"sonar/internal/isa"
 )
 
@@ -173,4 +174,34 @@ func TestMarshalMatchesFmtOracle(t *testing.T) {
 		Probe:    PatternStore, ProbeOffset: -1 << 40, ProbeDelay: -7, ProbeBase: 255,
 	})
 	check("empty", &Testcase{})
+}
+
+// FuzzUnmarshal feeds testcase text, the form in which seeds are exported,
+// edited and replayed, to Unmarshal. Text it accepts must marshal to a
+// fixed point (Marshal, Unmarshal, Marshal gives the same text) and must run
+// on a boom-lite DUT under both secrets without panicking.
+func FuzzUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		f.Add(Generate(rng, i%2 == 1).Marshal())
+	}
+	f.Add("# probe: 3\n# probe-delay: -7\n# probe-base: 31\n.attacker\n  sc.d x1, x2, 0(x3)\n")
+	f.Add(".chain\n  beq x1, x1, -4\n")
+	dut := NewDUT(boom.NewLite())
+	f.Fuzz(func(t *testing.T, src string) {
+		tc, err := Unmarshal(src)
+		if err != nil {
+			return
+		}
+		text := tc.Marshal()
+		back, err := Unmarshal(text)
+		if err != nil {
+			t.Fatalf("marshalled text does not parse: %v\n%s", err, text)
+		}
+		if again := back.Marshal(); again != text {
+			t.Fatalf("Marshal is not a fixed point:\n%s\nthen\n%s", text, again)
+		}
+		dut.Execute(tc, 0)
+		dut.Execute(tc, 1)
+	})
 }

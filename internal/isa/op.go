@@ -79,63 +79,85 @@ func (o Op) appendName(dst []byte) []byte {
 	return append(strconv.AppendUint(append(dst, "Op("...), uint64(o), 10), ')')
 }
 
-// IsALU reports whether the op executes on an integer ALU.
-func (o Op) IsALU() bool {
-	switch o {
-	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU,
-		SLLI, SRLI, SRAI, ADDI, ANDI, ORI, XORI, SLTI, LUI:
-		return true
+// Op class flags, one bit per classifier below.
+const (
+	classALU uint16 = 1 << iota
+	classMul
+	classDiv
+	classLoad
+	classStore
+	classBranch
+	classJump
+	classRd
+	classRs1
+	classRs2
+
+	classMem = classLoad | classStore
+)
+
+// opClass holds every op's class flags. It is indexed by the whole uint8
+// range, so a lookup needs no bounds check and values >= numOps classify as
+// nothing.
+var opClass = func() (t [256]uint16) {
+	set := func(flag uint16, ops ...Op) {
+		for _, o := range ops {
+			t[o] |= flag
+		}
 	}
-	return false
-}
+	unset := func(flag uint16, ops ...Op) {
+		for _, o := range ops {
+			t[o] &^= flag
+		}
+	}
+	set(classALU, ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU,
+		SLLI, SRLI, SRAI, ADDI, ANDI, ORI, XORI, SLTI, LUI)
+	set(classMul, MUL)
+	set(classDiv, DIV, REM)
+	set(classLoad, LD, LW, LRD)
+	set(classStore, SD, SW, SCD)
+	set(classBranch, BEQ, BNE)
+	set(classJump, JAL)
+	for o := Op(0); o < numOps; o++ {
+		t[o] |= classRd | classRs1
+	}
+	unset(classRd, SD, SW, BEQ, BNE, FENCE, ECALL)
+	unset(classRs1, LUI, JAL, RDCYCLE, FENCE, ECALL)
+	set(classRs2, ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU, MUL, DIV, REM, SD, SW, SCD, BEQ, BNE)
+	return t
+}()
+
+// IsALU reports whether the op executes on an integer ALU.
+func (o Op) IsALU() bool { return opClass[o]&classALU != 0 }
 
 // IsMul reports whether the op uses the multiplier.
-func (o Op) IsMul() bool { return o == MUL }
+func (o Op) IsMul() bool { return opClass[o]&classMul != 0 }
 
 // IsDiv reports whether the op uses the divider.
-func (o Op) IsDiv() bool { return o == DIV || o == REM }
+func (o Op) IsDiv() bool { return opClass[o]&classDiv != 0 }
 
 // IsLoad reports whether the op reads data memory.
-func (o Op) IsLoad() bool { return o == LD || o == LW || o == LRD }
+func (o Op) IsLoad() bool { return opClass[o]&classLoad != 0 }
 
 // IsStore reports whether the op writes data memory.
-func (o Op) IsStore() bool { return o == SD || o == SW || o == SCD }
+func (o Op) IsStore() bool { return opClass[o]&classStore != 0 }
 
 // IsMem reports whether the op accesses data memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
+func (o Op) IsMem() bool { return opClass[o]&classMem != 0 }
 
 // IsBranch reports whether the op is a conditional branch.
-func (o Op) IsBranch() bool { return o == BEQ || o == BNE }
+func (o Op) IsBranch() bool { return opClass[o]&classBranch != 0 }
 
 // IsJump reports whether the op is an unconditional jump.
-func (o Op) IsJump() bool { return o == JAL }
+func (o Op) IsJump() bool { return opClass[o]&classJump != 0 }
 
 // HasRd reports whether the op writes a destination register.
-func (o Op) HasRd() bool {
-	switch o {
-	case SD, SW, BEQ, BNE, FENCE, ECALL:
-		return false
-	}
-	return o < numOps
-}
+func (o Op) HasRd() bool { return opClass[o]&classRd != 0 }
 
 // HasRs1 reports whether the op reads rs1.
-func (o Op) HasRs1() bool {
-	switch o {
-	case LUI, JAL, RDCYCLE, FENCE, ECALL:
-		return false
-	}
-	return o < numOps
-}
+func (o Op) HasRs1() bool { return opClass[o]&classRs1 != 0 }
 
 // HasRs2 reports whether the op reads rs2.
-func (o Op) HasRs2() bool {
-	switch o {
-	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU, MUL, DIV, REM, SD, SW, SCD, BEQ, BNE:
-		return true
-	}
-	return false
-}
+func (o Op) HasRs2() bool { return opClass[o]&classRs2 != 0 }
 
 // MemBytes returns the access width in bytes for memory ops, 0 otherwise.
 func (o Op) MemBytes() int {

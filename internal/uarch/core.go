@@ -49,12 +49,23 @@ type robEntry struct {
 	// (NutShell): commit must not flush again.
 	earlyFlushed bool
 	secretDep    bool
+	// src1 and src2 name the nearest older in-flight producers of the
+	// entry's rs1 and rs2 as of dispatch (pos -1: none, the committed value
+	// stands). Dispatch and commit are in order and a flush that removes a
+	// producer removes its younger consumers too, so the reference stays
+	// right: once it goes stale, every older producer has committed.
+	src1, src2 prodRef
 }
 
+// prodRef names the ROB entry that produces a register value; seq tells a
+// live reference from a reused ROB position.
 type prodRef struct {
 	pos int
 	seq int64
 }
+
+// noProd is the prodRef of a register with no in-flight producer.
+var noProd = prodRef{pos: -1}
 
 type fetchGroup struct {
 	instrs  []fetchedInstr
@@ -246,7 +257,7 @@ func (c *Core) Reset() {
 
 func (c *Core) clearProducers() {
 	for i := range c.lastProd {
-		c.lastProd[i] = prodRef{pos: -1}
+		c.lastProd[i] = noProd
 	}
 }
 
@@ -315,8 +326,16 @@ func (c *Core) popHead(e *robEntry) {
 	c.clearWaiting(c.robHead)
 	c.releaseEntry(e)
 	e.active = false
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	c.robHead = c.nextPos(c.robHead)
 	c.robCount--
+}
+
+// nextPos returns the ROB position after pos, wrapping at the end.
+func (c *Core) nextPos(pos int) int {
+	if pos++; pos == len(c.rob) {
+		return 0
+	}
+	return pos
 }
 
 // releaseEntry updates LSQ and window accounting for an entry leaving the
@@ -354,7 +373,7 @@ func (c *Core) flushAllAfterHead() {
 		c.perf.Squashed++
 		c.releaseEntry(e)
 		e.active = false
-		c.robHead = (c.robHead + 1) % len(c.rob)
+		c.robHead = c.nextPos(c.robHead)
 		c.robCount--
 	}
 	c.robTail = c.robHead
@@ -369,7 +388,10 @@ func (c *Core) flushAllAfterHead() {
 // rebuilds the producer table.
 func (c *Core) flushYoungerThan(seq int64) {
 	for c.robCount > 0 {
-		tailPos := (c.robTail - 1 + len(c.rob)) % len(c.rob)
+		tailPos := c.robTail - 1
+		if tailPos < 0 {
+			tailPos = len(c.rob) - 1
+		}
 		e := &c.rob[tailPos]
 		if e.seq <= seq {
 			break
@@ -394,44 +416,22 @@ func (c *Core) rebuildProducers() {
 		if rd := e.ins.Writes(); rd != 0 {
 			c.lastProd[rd] = prodRef{pos: pos, seq: e.seq}
 		}
-		pos = (pos + 1) % len(c.rob)
+		pos = c.nextPos(pos)
 	}
 }
 
 // ---- issue ----
 
-// operand resolves a source register for the entry at ROB position
-// consumerPos: ready reports whether the value is available this cycle.
-func (c *Core) operand(r uint8, consumerPos int, consumerSeq int64) (val uint64, ready bool) {
+// operand resolves source register r of an entry whose producer of r was
+// resolved at dispatch: ready reports whether the value is available this
+// cycle.
+func (c *Core) operand(r uint8, src prodRef) (val uint64, ready bool) {
 	if r == 0 {
 		return 0, true
 	}
-	ref := c.lastProd[r]
-	if ref.pos >= 0 {
-		p := &c.rob[ref.pos]
-		if p.active && p.seq == ref.seq {
-			if p.seq < consumerSeq {
-				// The newest producer is older than the consumer: it is
-				// the forwarding source.
-				return producerValue(p, c.cycle)
-			}
-			// The newest producer is the consumer itself or younger (an
-			// instruction reading a register it also writes): scan
-			// backwards for the nearest older in-flight producer.
-			for i, pos := 0, consumerPos; i < c.robCount; i++ {
-				pos = (pos - 1 + len(c.rob)) % len(c.rob)
-				e := &c.rob[pos]
-				if !e.active || e.seq >= consumerSeq {
-					continue
-				}
-				if e.ins.Writes() == r {
-					return producerValue(e, c.cycle)
-				}
-				if pos == c.robHead {
-					break
-				}
-			}
-			// No older in-flight producer: the committed value stands.
+	if src.pos >= 0 {
+		if p := &c.rob[src.pos]; p.active && p.seq == src.seq {
+			return producerValue(p, c.cycle)
 		}
 	}
 	return c.regs[r], true
@@ -509,12 +509,12 @@ func (c *Core) issue() {
 		var rs1 uint64
 		ok1 := true
 		if e.ins.Op.HasRs1() {
-			rs1, ok1 = c.operand(e.ins.Rs1, epos, e.seq)
+			rs1, ok1 = c.operand(e.ins.Rs1, e.src1)
 		}
 		var rs2 uint64
 		ok2 := true
 		if e.ins.Op.HasRs2() {
-			rs2, ok2 = c.operand(e.ins.Rs2, epos, e.seq)
+			rs2, ok2 = c.operand(e.ins.Rs2, e.src2)
 		}
 		if !ok1 || !ok2 {
 			continue
@@ -662,11 +662,21 @@ func (c *Core) dispatch() {
 			pc:     fi.pc,
 			ins:    fi.ins,
 			state:  stWaiting,
+			src1:   noProd,
+			src2:   noProd,
+		}
+		// Resolve the sources before this entry becomes the newest producer
+		// of its own destination.
+		if fi.ins.Op.HasRs1() {
+			e.src1 = c.lastProd[fi.ins.Rs1]
+		}
+		if fi.ins.Op.HasRs2() {
+			e.src2 = c.lastProd[fi.ins.Rs2]
 		}
 		c.waiting[pos>>6] |= 1 << (pos & 63)
 		c.seqNext++
 		c.perf.Dispatched++
-		c.robTail = (c.robTail + 1) % len(c.rob)
+		c.robTail = c.nextPos(c.robTail)
 		c.robCount++
 		if rd := fi.ins.Writes(); rd != 0 {
 			c.lastProd[rd] = prodRef{pos: pos, seq: e.seq}
