@@ -1,7 +1,7 @@
 // Command sonar-worker executes shard leases against a sonar-server: it
-// polls the campaign service for work, elaborates the granted DUT (sharing
-// the contention-point analysis across leases), runs each leased batch
-// through the fuzzing engine, and reports results back. Any number of
+// long-polls the campaign service for work, elaborates the granted DUT
+// (sharing the contention-point analysis across leases), runs each leased
+// batch through the fuzzing engine, and reports results back. Any number of
 // workers may serve one server; results are deterministic regardless of
 // worker count, death, or restart (docs/SERVICE.md).
 //
@@ -34,7 +34,7 @@ func main() {
 	var (
 		server    = flag.String("server", "", "campaign server base URL (required), e.g. http://localhost:8714")
 		id        = flag.String("id", "", "worker identifier recorded on its leases (default host-pid)")
-		poll      = flag.Duration("poll", 0, "sleep between acquire attempts when the server has no work (default 500ms)")
+		poll      = flag.Duration("poll", 0, "back-off after a failed acquire before trying again (default 500ms); with no work the server parks the acquire instead")
 		maxLeases = flag.Int("max-leases", 0, "exit after executing this many leases (0 = run until killed)")
 		lanes     = flag.Int("lanes", 0, "evaluator batch width override, 1..64 (0 = use the server's suggestion; results are identical at every width)")
 	)

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"sonar/internal/fuzz"
 )
@@ -34,8 +36,9 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // do issues one API request. A non-nil out is filled from a JSON response
-// body; error bodies become "<status>: <message>" errors.
-func (c *Client) do(method, path string, in, out any) error {
+// body (left untouched by a 204); error bodies become "<status>: <message>"
+// errors.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -44,7 +47,7 @@ func (c *Client) do(method, path string, in, out any) error {
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequest(method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return err
 	}
@@ -108,7 +111,7 @@ func (e *APIError) Error() string {
 // Health fetches the server's health summary.
 func (c *Client) Health() (*Health, error) {
 	var h Health
-	if err := c.do("GET", "/healthz", nil, &h); err != nil {
+	if err := c.do(context.Background(), "GET", "/healthz", nil, &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
@@ -117,7 +120,7 @@ func (c *Client) Health() (*Health, error) {
 // Submit submits a campaign spec and returns the new campaign's status.
 func (c *Client) Submit(spec *Spec) (*CampaignStatus, error) {
 	var st CampaignStatus
-	if err := c.do("POST", "/api/v1/campaigns", spec, &st); err != nil {
+	if err := c.do(context.Background(), "POST", "/api/v1/campaigns", spec, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -126,7 +129,7 @@ func (c *Client) Submit(spec *Spec) (*CampaignStatus, error) {
 // Campaigns lists all campaigns.
 func (c *Client) Campaigns() ([]CampaignStatus, error) {
 	var out []CampaignStatus
-	if err := c.do("GET", "/api/v1/campaigns", nil, &out); err != nil {
+	if err := c.do(context.Background(), "GET", "/api/v1/campaigns", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -135,7 +138,7 @@ func (c *Client) Campaigns() ([]CampaignStatus, error) {
 // Campaign fetches one campaign's status.
 func (c *Client) Campaign(id string) (*CampaignStatus, error) {
 	var st CampaignStatus
-	if err := c.do("GET", "/api/v1/campaigns/"+id, nil, &st); err != nil {
+	if err := c.do(context.Background(), "GET", "/api/v1/campaigns/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -149,7 +152,7 @@ func (c *Client) Events(id string) ([]byte, error) {
 // Result fetches a finished campaign's result.
 func (c *Client) Result(id string) (*Result, error) {
 	var res Result
-	if err := c.do("GET", "/api/v1/campaigns/"+id+"/result", nil, &res); err != nil {
+	if err := c.do(context.Background(), "GET", "/api/v1/campaigns/"+id+"/result", nil, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -164,39 +167,43 @@ func (c *Client) CheckpointFile(id string) ([]byte, error) {
 // (nil for none). A nil grant with a nil error means the server has no work
 // to offer right now.
 func (c *Client) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, error) {
-	req, err := json.Marshal(acquireRequest{Worker: worker, Held: held})
-	if err != nil {
+	return c.AcquireWait(context.Background(), worker, held, 0)
+}
+
+// AcquireWait is Acquire with a long poll: the server parks the request for
+// up to wait (capped at MaxAcquireWait) until a lease opens. Cancelling ctx
+// abandons the request, and the server stops waiting too.
+func (c *Client) AcquireWait(ctx context.Context, worker string, held []HeldPrefix, wait time.Duration) (*LeaseGrant, error) {
+	var g *LeaseGrant
+	req := acquireRequest{Worker: worker, Held: held, WaitMillis: wait.Milliseconds()}
+	if err := c.do(ctx, "POST", "/api/v1/leases/acquire", req, &g); err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/api/v1/leases/acquire", "application/json", bytes.NewReader(req))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil, nil
-	}
-	if resp.StatusCode >= 400 {
-		return nil, apiError(resp)
-	}
-	var g LeaseGrant
-	if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
-		return nil, err
-	}
-	return &g, nil
+	return g, nil
 }
 
 // Renew extends an outstanding lease's TTL.
 func (c *Client) Renew(leaseID string) error {
-	return c.do("POST", "/api/v1/leases/"+leaseID+"/renew", struct{}{}, nil)
+	return c.do(context.Background(), "POST", "/api/v1/leases/"+leaseID+"/renew", struct{}{}, nil)
 }
 
 // Report posts an executed lease's result.
 func (c *Client) Report(leaseID string, res *fuzz.LeaseResult) error {
-	return c.do("POST", "/api/v1/leases/"+leaseID+"/result", res, nil)
+	return c.do(context.Background(), "POST", "/api/v1/leases/"+leaseID+"/result", res, nil)
+}
+
+// ReportNext posts an executed lease's result and asks for the reporter's
+// next lease of the same campaign in the reply: a nil grant means none was
+// open after the merge.
+func (c *Client) ReportNext(leaseID string, res *fuzz.LeaseResult) (*LeaseGrant, error) {
+	var out reportResponse
+	if err := c.do(context.Background(), "POST", "/api/v1/leases/"+leaseID+"/result?next=1", res, &out); err != nil {
+		return nil, err
+	}
+	return out.Next, nil
 }
 
 // Drain switches the server's lease granting off or back on.
 func (c *Client) Drain(on bool) error {
-	return c.do("POST", "/api/v1/drain", drainRequest{Drain: on}, nil)
+	return c.do(context.Background(), "POST", "/api/v1/drain", drainRequest{Drain: on}, nil)
 }

@@ -15,6 +15,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -61,6 +62,7 @@ const (
 	MetricLeaseRenewals    = "sonar_fleet_lease_renewals_total"
 	MetricStaleReports     = "sonar_fleet_stale_reports_total"
 	MetricShardsAbandoned  = "sonar_fleet_shards_abandoned_total"
+	MetricAcquiresParked   = "sonar_fleet_acquires_parked"
 )
 
 // Per-campaign gauge names (label: campaign ID).
@@ -77,6 +79,10 @@ const (
 // docs/SERVICE.md's runbook explains how to tune it: it must comfortably
 // exceed one batch's execution time, or healthy workers lose their leases.
 const DefaultLeaseTTL = 30 * time.Second
+
+// MaxAcquireWait caps how long an acquire may park waiting for work
+// (acquireRequest.WaitMillis); a longer requested wait is cut to it.
+const MaxAcquireWait = 10 * time.Second
 
 // Builtins returns the built-in DUT registry shared by cmd/sonar-server and
 // cmd/sonar-worker: the paper's two targets, plus boom's dual-core
@@ -353,16 +359,27 @@ type lease struct {
 	attempt int
 	expires time.Time
 	worker  string
+	// held is the corpus prefix the worker holds once it has run the lease
+	// (its Base plus its seeds): what a fused next grant is a delta against.
+	held fuzz.CorpusPrefix
 }
 
 // Controller owns all campaign and lease state behind the HTTP API. All
 // methods are safe for concurrent use; a single mutex serializes access to
-// the per-campaign LeaseCoordinators (which are not concurrency-safe).
+// the per-campaign LeaseCoordinators (which are not concurrency-safe), and
+// nothing slower than a lease report runs under it.
 type Controller struct {
-	mu        sync.Mutex
-	cfg       Config
-	duts      map[string]func() *uarch.SoC
+	mu sync.Mutex
+	// work is signalled (under mu) whenever a shard may have become open
+	// for a grant — a round closed, a lease expired, a campaign was
+	// submitted — or draining changed; parked acquires wait on it.
+	work *sync.Cond
+	cfg  Config
+	duts map[string]func() *uarch.SoC
+
+	fmu       sync.Mutex                  // guards factories only
 	factories map[string]func() *fuzz.DUT // shared-analysis DUT factories
+
 	campaigns []*campaign
 	byID      map[string]*campaign
 	leases    map[string]*lease
@@ -379,6 +396,7 @@ type Controller struct {
 	stale          *obs.Counter
 	abandonedCnt   *obs.Counter
 	workerFails    *obs.Counter
+	parked         *obs.Gauge
 	gaugeIters     *obs.GaugeVec
 	gaugeRound     *obs.GaugeVec
 	gaugePoints    *obs.GaugeVec
@@ -394,7 +412,7 @@ func NewController(cfg Config) *Controller {
 		duts = Builtins()
 	}
 	m := obs.NewMetrics()
-	return &Controller{
+	ct := &Controller{
 		cfg:       cfg,
 		duts:      duts,
 		factories: make(map[string]func() *fuzz.DUT),
@@ -412,6 +430,7 @@ func NewController(cfg Config) *Controller {
 		stale:          m.Counter(MetricStaleReports, "Reports for expired or already-resolved leases."),
 		abandonedCnt:   m.Counter(MetricShardsAbandoned, "Shards abandoned after exhausting lease retries."),
 		workerFails:    m.Counter(obs.MetricWorkerFailures, "Failed lease attempts (expiries and abandonments)."),
+		parked:         m.Gauge(MetricAcquiresParked, "Acquire requests parked waiting for work."),
 
 		gaugeIters:    m.GaugeVec(MetricCampaignIterations, "Campaign position in iterations.", "campaign"),
 		gaugeRound:    m.GaugeVec(MetricCampaignRound, "Completed merge rounds.", "campaign"),
@@ -420,6 +439,8 @@ func NewController(cfg Config) *Controller {
 		gaugeCorpus:   m.GaugeVec(MetricCampaignCorpus, "Merged seed corpus size.", "campaign"),
 		gaugeDone:     m.GaugeVec(MetricCampaignDone, "1 once the campaign has finished.", "campaign"),
 	}
+	ct.work = sync.NewCond(&ct.mu)
+	return ct
 }
 
 // Metrics returns the controller's metric registry; the server mounts its
@@ -429,13 +450,35 @@ func (ct *Controller) Metrics() *obs.Metrics { return ct.metrics }
 // Submit validates a campaign spec and opens the campaign. FIRRTL specs run
 // the contention-point analysis synchronously and complete immediately;
 // named-DUT specs elaborate the design (once per name — the analysis is
-// shared across campaigns and with nothing else to do the call can take a
-// few seconds for the full cores) and open a lease coordinator.
+// shared across campaigns, and the call can take a few seconds for the full
+// cores) and open a lease coordinator. All of that runs before the
+// controller lock is taken, so a slow submission never stalls acquires and
+// reports; only assigning the campaign ID ("c%d" in commit order) and
+// registering the campaign happen under it.
 func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
+	c, err := ct.newCampaign(spec)
+	if err != nil {
+		return nil, err
+	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
+	c.id = fmt.Sprintf("c%d", len(ct.campaigns)+1)
+	ct.campaigns = append(ct.campaigns, c)
+	ct.byID[c.id] = c
+	ct.campaignsTotal.Inc()
+	if !c.done() {
+		ct.running.Add(1)
+	}
+	ct.updateGaugesLocked(c)
+	ct.work.Broadcast()
+	return ct.statusLocked(c), nil
+}
 
+// newCampaign validates a spec and builds its campaign — parse, analysis,
+// audit and elaboration — without touching controller state; Submit
+// registers the result.
+func (ct *Controller) newCampaign(spec *Spec) (*campaign, error) {
 	if (spec.DUT == "") == (spec.FIRRTL == "") {
 		return nil, fmt.Errorf("%w: spec must set exactly one of dut, firrtl", errBadRequest)
 	}
@@ -444,7 +487,6 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 	}
 
 	c := &campaign{
-		id:       fmt.Sprintf("c%d", len(ct.campaigns)+1),
 		lanes:    spec.Lanes,
 		granted:  make(map[int]*lease),
 		attempts: make(map[int]int),
@@ -511,17 +553,9 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 		c.sink = obs.NewMemorySink()
 		opt := spec.Options.Options()
 		opt.Observer = obs.New(c.sink)
-		c.lc = fuzz.NewLeaseCoordinator(ct.factoryLocked(name)(), opt)
+		c.lc = fuzz.NewLeaseCoordinator(ct.factory(name)(), opt)
 	}
-
-	ct.campaigns = append(ct.campaigns, c)
-	ct.byID[c.id] = c
-	ct.campaignsTotal.Inc()
-	if !c.done() {
-		ct.running.Add(1)
-	}
-	ct.updateGaugesLocked(c)
-	return ct.statusLocked(c), nil
+	return c, nil
 }
 
 // resolveDUT maps a spec to the registry name workers will elaborate. A
@@ -542,8 +576,12 @@ func (ct *Controller) resolveDUT(spec *Spec) (string, error) {
 	return name, nil
 }
 
-// factoryLocked returns the shared-analysis DUT factory for a registry name.
-func (ct *Controller) factoryLocked(name string) func() *fuzz.DUT {
+// factory returns the shared-analysis DUT factory for a registry name. The
+// factory itself is safe for concurrent use: concurrent submissions of one
+// design elaborate it once.
+func (ct *Controller) factory(name string) func() *fuzz.DUT {
+	ct.fmu.Lock()
+	defer ct.fmu.Unlock()
 	f, ok := ct.factories[name]
 	if !ok {
 		f = fuzz.SharedAnalysisFactory(ct.duts[name])
@@ -641,19 +679,50 @@ func (ct *Controller) snapshot(id string) (*fuzz.Checkpoint, error) {
 }
 
 // Acquire offers a lease to a worker: the first open, un-leased shard of
-// the oldest running campaign. A nil grant (and nil error) means no work is
-// available right now — the campaign set is drained, draining, or every
-// open shard is already leased out. held lists the corpus prefixes the
-// worker holds; the entry for the granted campaign, if any, lets the lease
-// carry only the seeds past it.
-func (ct *Controller) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, error) {
+// the oldest running campaign. held lists the corpus prefixes the worker
+// holds; the entry for the granted campaign, if any, lets the lease carry
+// only the seeds past it.
+//
+// With no work to offer — every campaign drained or every open shard
+// leased out — Acquire parks for up to wait (capped at MaxAcquireWait)
+// until a shard opens, and returns a nil grant (and nil error) if none
+// does. A parked acquire also returns nil as soon as ctx is cancelled or
+// the controller starts draining. A zero wait answers at once.
+func (ct *Controller) Acquire(ctx context.Context, worker string, held []HeldPrefix, wait time.Duration) (*LeaseGrant, error) {
+	wait = min(wait, MaxAcquireWait)
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	ct.sweepLocked()
-	if ct.draining {
-		return nil, nil
+	deadline := ct.now().Add(wait)
+	// drained is whether the controller was draining when this acquire
+	// arrived or last looked: one that arrives during a drain parks until
+	// it ends, one parked when a drain starts returns.
+	drained := ct.draining
+	for {
+		ct.sweepLocked()
+		if !ct.draining {
+			drained = false
+			g, err := ct.grantLocked(worker, ct.campaigns, func(c *campaign) fuzz.CorpusPrefix {
+				return heldPrefix(held, c.id)
+			})
+			if g != nil || err != nil {
+				return g, err
+			}
+		} else if !drained {
+			return nil, nil
+		}
+		now := ct.now()
+		if ctx.Err() != nil || !now.Before(deadline) {
+			return nil, nil
+		}
+		ct.parkLocked(ctx, ct.wakeLocked(deadline).Sub(now))
 	}
-	for _, c := range ct.campaigns {
+}
+
+// grantLocked grants the first open, un-leased shard among cs (oldest
+// campaign first), or returns nil when there is none. held gives the corpus
+// prefix the worker holds of a campaign.
+func (ct *Controller) grantLocked(worker string, cs []*campaign, held func(*campaign) fuzz.CorpusPrefix) (*LeaseGrant, error) {
+	for _, c := range cs {
 		if c.kind != "fuzz" || c.lc.Finished() {
 			continue
 		}
@@ -661,7 +730,7 @@ func (ct *Controller) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, er
 			if _, leased := c.granted[shard]; leased {
 				continue
 			}
-			payload, err := c.lc.Lease(shard, heldPrefix(held, c.id))
+			payload, err := c.lc.Lease(shard, held(c))
 			if err != nil {
 				return nil, err
 			}
@@ -671,6 +740,7 @@ func (ct *Controller) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, er
 				attempt: c.attempts[shard] + 1,
 				expires: ct.now().Add(ct.cfg.ttl()),
 				worker:  worker,
+				held:    c.lc.CorpusPrefix(),
 			}
 			c.granted[shard] = l
 			ct.leases[l.id] = l
@@ -688,6 +758,37 @@ func (ct *Controller) Acquire(worker string, held []HeldPrefix) (*LeaseGrant, er
 		}
 	}
 	return nil, nil
+}
+
+// wakeLocked returns when a parked acquire must next look again: at its
+// deadline, or earlier at the first outstanding lease's expiry — expiry is
+// swept lazily, so no other event would re-offer that shard.
+func (ct *Controller) wakeLocked(deadline time.Time) time.Time {
+	wake := deadline
+	for _, l := range ct.leases { //sonar:nondeterministic-ok a minimum over expiry times is order-insensitive
+		if l.expires.Before(wake) {
+			wake = l.expires
+		}
+	}
+	return wake
+}
+
+// parkLocked waits on ct.work for at most d or until ctx is cancelled,
+// releasing ct.mu while it waits. Wakeups may be spurious; callers
+// re-check their condition.
+func (ct *Controller) parkLocked(ctx context.Context, d time.Duration) {
+	wake := func() {
+		ct.mu.Lock()
+		ct.work.Broadcast()
+		ct.mu.Unlock()
+	}
+	t := time.AfterFunc(d, wake)
+	stop := context.AfterFunc(ctx, wake)
+	ct.parked.Add(1)
+	ct.work.Wait()
+	ct.parked.Add(-1)
+	t.Stop()
+	stop()
 }
 
 // heldPrefix returns the held entry for a campaign, or the empty prefix.
@@ -718,35 +819,50 @@ func (ct *Controller) Renew(leaseID string) (time.Duration, error) {
 // for an expired or already-resolved lease is gone (the shard was re-leased
 // or the round moved on); a result the coordinator rejects is a bad
 // request.
-func (ct *Controller) Report(leaseID string, res *fuzz.LeaseResult) error {
+//
+// With next set, Report also grants the reporter its next lease of the
+// same campaign when one is open after the merge the report triggered — a
+// delta against the corpus the reporter holds after this lease — or
+// returns a nil grant when none is.
+func (ct *Controller) Report(leaseID string, res *fuzz.LeaseResult, next bool) (*LeaseGrant, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
 	l, ok := ct.leases[leaseID]
 	if !ok {
 		ct.stale.Inc()
-		return fmt.Errorf("%w: lease %q expired or already resolved", errGone, leaseID)
+		return nil, fmt.Errorf("%w: lease %q expired or already resolved", errGone, leaseID)
 	}
 	if res == nil || res.Shard != l.shard || res.Round != l.round {
-		return fmt.Errorf("%w: result does not match lease %q (shard %d round %d)", errBadRequest, leaseID, l.shard, l.round)
+		return nil, fmt.Errorf("%w: result does not match lease %q (shard %d round %d)", errBadRequest, leaseID, l.shard, l.round)
 	}
 	if err := l.camp.lc.Report(res); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	delete(ct.leases, leaseID)
 	delete(l.camp.granted, l.shard)
 	ct.completed.Inc()
 	ct.afterAdvanceLocked(l.camp)
-	return nil
+	ct.work.Broadcast()
+	if !next || ct.draining {
+		return nil, nil
+	}
+	// The report has merged; a grant that fails here leaves the reporter to
+	// acquire, which surfaces the error.
+	g, _ := ct.grantLocked(l.worker, []*campaign{l.camp}, func(*campaign) fuzz.CorpusPrefix { return l.held })
+	return g, nil
 }
 
 // Drain switches lease granting off (true) or back on (false). Outstanding
 // leases can still be renewed and reported; Acquire returns no work while
-// draining, so workers idle and the operator can stop them or the server.
+// draining (acquires parked when the drain starts return at once, later
+// ones park until it ends), so workers idle and the operator can stop them
+// or the server.
 func (ct *Controller) Drain(on bool) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.draining = on
+	ct.work.Broadcast()
 }
 
 // Health summarizes the controller for the healthz endpoint.
@@ -778,6 +894,9 @@ func (ct *Controller) sweepLocked() {
 		}
 	}
 	sort.Slice(due, func(i, j int) bool { return due[i].id < due[j].id })
+	if len(due) > 0 {
+		ct.work.Broadcast() // the expired leases' shards are open again
+	}
 	for _, l := range due {
 		delete(ct.leases, l.id)
 		delete(l.camp.granted, l.shard)

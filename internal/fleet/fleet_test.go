@@ -372,13 +372,19 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 // RunParallel of the same (Seed, Workers, BatchSize) topology — with and
 // without a worker dying mid-campaign.
 func TestServerWorkersMatchLocal(t *testing.T) {
-	for _, kill := range []bool{false, true} {
-		name := "healthy"
-		if kill {
-			name = "one-worker-killed"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill bool
+		keep int // KeepFindings: 32 fills mid-campaign, so results are trimmed
+	}{
+		{"healthy", false, 0},
+		{"one-worker-killed", true, 0},
+		{"keep-findings-32", false, 32},
+	} {
+		kill := tc.kill
+		t.Run(tc.name, func(t *testing.T) {
 			shape := testShape(60, 2, 8)
+			shape.KeepFindings = tc.keep
 			cfg := Config{}
 			if kill {
 				cfg.LeaseTTL = 50 * time.Millisecond

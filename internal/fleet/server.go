@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"sonar/internal/fuzz"
 )
@@ -162,6 +163,9 @@ type acquireRequest struct {
 	// Held lists the corpus prefixes the worker holds, sorted by campaign;
 	// a grant for one of those campaigns carries only the seeds past it.
 	Held []HeldPrefix `json:"held,omitempty"`
+	// WaitMillis is how long the request may park waiting for work when
+	// none is open (capped at MaxAcquireWait); zero answers at once.
+	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
@@ -170,7 +174,9 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	g, err := s.ct.Acquire(req.Worker, req.Held)
+	// r.Context() ends when the client hangs up, which un-parks the acquire.
+	wait := time.Duration(max(req.WaitMillis, 0)) * time.Millisecond
+	g, err := s.ct.Acquire(r.Context(), req.Worker, req.Held, wait)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -197,17 +203,27 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, renewResponse{TTLMillis: ttl.Milliseconds()})
 }
 
+// reportResponse is the lease-result response body.
+type reportResponse struct {
+	// Status is "merged".
+	Status string `json:"status"`
+	// Next is the reporter's next lease of the same campaign, granted when
+	// the report asked for it (?next=1) and one is open after the merge.
+	Next *LeaseGrant `json:"next,omitempty"`
+}
+
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var res fuzz.LeaseResult
 	if err := decodeJSON(w, r, &res); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := s.ct.Report(r.PathValue("id"), &res); err != nil {
+	next, err := s.ct.Report(r.PathValue("id"), &res, r.URL.Query().Get("next") == "1")
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "merged"})
+	writeJSON(w, http.StatusOK, reportResponse{Status: "merged", Next: next})
 }
 
 // drainRequest is the drain request body.

@@ -16,8 +16,10 @@ import (
 type WorkerOptions struct {
 	// ID is the worker's self-assigned identifier, recorded on its leases.
 	ID string
-	// Poll is how long to sleep between acquire attempts when the server
-	// has no work; zero means 500ms.
+	// Poll is how long to back off after a failed acquire (server
+	// restarting, transient network) before trying again; zero means 500ms.
+	// With no work to offer, the server parks the acquire instead, so an
+	// idle worker never sleeps between attempts.
 	Poll time.Duration
 	// MaxLeases stops the worker after executing this many leases; zero
 	// means run until the context is cancelled.
@@ -96,14 +98,21 @@ func (hc *heldCache) granted(campaign string) *fuzz.HeldCorpus {
 // unrecoverable error occurs. It returns the number of leases executed.
 //
 // The loop is: acquire → elaborate the granted DUT (once per design name;
-// the DUT is reused across leases) → execute the lease → report. The worker keeps each leased campaign's decoded corpus
-// (up to maxHeldCorpora campaigns) and lists it in every acquire, so a
-// lease only ships the seeds merged since the worker's previous one. While
-// executing, a background goroutine renews the lease at a third of its TTL
-// so slow batches survive; if a report still races an expiry the server
+// the DUT is reused across leases) → execute the lease → report. The
+// acquire long-polls for the server's longest wait (MaxAcquireWait): the
+// server parks it until a lease opens, and cancelling ctx abandons it at
+// once. The report asks for the worker's next lease of the same campaign in
+// its reply, so while a campaign has work a lease costs one round trip,
+// not two. The worker keeps each leased campaign's decoded corpus (up to
+// maxHeldCorpora campaigns) and lists it in every acquire, so a lease only
+// ships the seeds merged since the worker's previous one. While executing,
+// a background goroutine renews the lease at a third of its TTL so slow
+// batches survive; if a report still races an expiry the server
 // answers 409, the result is discarded, and the re-offered lease
 // re-executes deterministically elsewhere — campaign results are
-// unaffected.
+// unaffected. Likewise, a worker cancelled right after a report reply
+// granted it a lease leaves that lease to expire and be re-offered, as a
+// killed worker's would be.
 func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, error) {
 	poll := opt.Poll
 	if poll <= 0 {
@@ -117,27 +126,31 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 	var held heldCache
 	executed := 0
 	failures := 0
+	var g *LeaseGrant // the next lease, when a report reply granted one
 	for {
 		if err := ctx.Err(); err != nil {
 			return executed, nil
 		}
-		g, err := client.Acquire(opt.ID, held.prefixes())
-		if err != nil {
-			failures++
-			if failures >= maxAcquireFailures {
-				return executed, fmt.Errorf("fleet: worker %s: acquire failed %d times in a row: %w", opt.ID, failures, err)
-			}
-			if !sleep(ctx, poll) {
-				return executed, nil
-			}
-			continue
-		}
-		failures = 0
 		if g == nil {
-			if !sleep(ctx, poll) {
+			var err error
+			g, err = client.AcquireWait(ctx, opt.ID, held.prefixes(), MaxAcquireWait)
+			if ctx.Err() != nil {
 				return executed, nil
 			}
-			continue
+			if err != nil {
+				failures++
+				if failures >= maxAcquireFailures {
+					return executed, fmt.Errorf("fleet: worker %s: acquire failed %d times in a row: %w", opt.ID, failures, err)
+				}
+				if !sleep(ctx, poll) {
+					return executed, nil
+				}
+				continue
+			}
+			failures = 0
+			if g == nil {
+				continue
+			}
 		}
 
 		// FIRRTL grants carry the design and elaborate into a lane-parallel
@@ -185,15 +198,23 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 			// expire and surface the error.
 			return executed, fmt.Errorf("fleet: worker %s: lease %s: %w", opt.ID, g.LeaseID, err)
 		}
-		if err := client.Report(g.LeaseID, res); err != nil {
+		last := opt.MaxLeases > 0 && executed+1 >= opt.MaxLeases
+		id := g.LeaseID
+		if last || ctx.Err() != nil {
+			// Ask for no next lease: this worker would not run it.
+			g, err = nil, client.Report(id, res)
+		} else {
+			g, err = client.ReportNext(id, res)
+		}
+		if err != nil {
 			// 409: the lease expired under us and was re-offered; the
 			// result is simply discarded. Anything else is fatal.
 			if ae, ok := err.(*APIError); !ok || ae.Status != 409 {
-				return executed, fmt.Errorf("fleet: worker %s: report lease %s: %w", opt.ID, g.LeaseID, err)
+				return executed, fmt.Errorf("fleet: worker %s: report lease %s: %w", opt.ID, id, err)
 			}
 		}
 		executed++
-		if opt.MaxLeases > 0 && executed >= opt.MaxLeases {
+		if last {
 			return executed, nil
 		}
 	}

@@ -243,7 +243,11 @@ type outcome struct {
 	tc        *Testcase
 	triggered []int
 	finding   *detect.Finding
-	cycles    int64
+	// diff marks a timing difference whose finding a lease result left off
+	// the wire (OutcomeWire.Diff); finding is then nil. Local outcomes
+	// always carry the finding itself.
+	diff   bool
+	cycles int64
 	// intvls is the merged per-point best reqsIntvl of the dual execution.
 	// It is populated when retention needs it or an Observer is attached
 	// (the per-point best-interval metrics), and nil otherwise.
@@ -507,7 +511,7 @@ func (a *statsAccum) apply(o outcome) {
 	if len(st.PerIteration) > 0 {
 		cum = st.PerIteration[len(st.PerIteration)-1].CumTimingDiffs
 	}
-	if o.finding != nil {
+	if o.finding != nil || o.diff {
 		cum++
 		a.obs.TimingDiff()
 		if a.opt.KeepFindings == 0 || len(st.Findings) < a.opt.KeepFindings {

@@ -40,21 +40,35 @@ type Lease struct {
 	// BaseSum is the digest of the first Base seeds (CorpusPrefix.Sum); the
 	// executor checks it against its held prefix.
 	BaseSum string `json:"base_sum,omitempty"`
+	// Slots is how many of the batch's first findings the result carries in
+	// full: the campaign's free finding slots at the round's start
+	// (KeepFindings minus the findings kept so far), or N when the campaign
+	// keeps every finding. Later findings travel as bare Diff markers, since
+	// the stats fold can keep none of them.
+	Slots int `json:"slots,omitempty"`
 	// Corpus is the merged global corpus as of the previous round barrier:
 	// the seeds past Base, and the full best-interval list.
 	Corpus CorpusWire `json:"corpus"`
 }
 
 // OutcomeWire is one iteration outcome in serialized form — the unit a
-// LeaseResult carries back to the coordinator.
+// LeaseResult carries back to the coordinator. It carries only what the
+// stats fold reads: a finding the fold may keep ships in full with its
+// testcase, any other timing difference as a bare Diff marker, and an
+// outcome without a shipped finding has no testcase.
 type OutcomeWire struct {
-	// TC is the executed testcase in Testcase.Marshal form.
-	TC string `json:"tc"`
+	// TC is the executed testcase in Testcase.Marshal form, set only next to
+	// a shipped Finding (the fold keeps it as the finding's seed).
+	TC string `json:"tc,omitempty"`
 	// Triggered is the contention points triggered by the double execution,
 	// in execution order (the fold deduplicates against the global set).
 	Triggered []int `json:"triggered,omitempty"`
-	// Finding is the dual-differential finding, if any.
+	// Finding is the dual-differential finding, shipped in full for the
+	// batch's first Lease.Slots findings.
 	Finding *detect.Finding `json:"finding,omitempty"`
+	// Diff marks a timing difference whose finding was left off the wire:
+	// it counts towards the cumulative timing differences, nothing else.
+	Diff bool `json:"diff,omitempty"`
 	// Cycles is the double execution's total simulated cycle count.
 	Cycles int64 `json:"cycles"`
 	// Intvls is the merged per-point best distinct-request interval of the
@@ -62,38 +76,52 @@ type OutcomeWire struct {
 	Intvls []PointIntvl `json:"intvls,omitempty"`
 }
 
-// wireOutcome converts one outcome to its wire form.
-func wireOutcome(o *outcome) OutcomeWire {
-	return OutcomeWire{
-		TC:        o.tc.Marshal(),
+// wireOutcome converts one outcome to its wire form; full says whether a
+// finding ships with its detail and testcase or as a Diff marker.
+func wireOutcome(o *outcome, full bool) OutcomeWire {
+	ow := OutcomeWire{
 		Triggered: o.triggered,
-		Finding:   o.finding,
 		Cycles:    o.cycles,
 		Intvls:    sortIntvls(o.intvls),
 	}
+	if o.finding != nil {
+		if full {
+			ow.TC, ow.Finding = o.tc.Marshal(), o.finding
+		} else {
+			ow.Diff = true
+		}
+	}
+	return ow
 }
 
-// outcome rebuilds the in-memory outcome of a wire entry.
+// outcome rebuilds the in-memory outcome of a wire entry. A trimmed entry
+// comes back without its testcase, and a Diff marker as a timing
+// difference without a finding.
 func (ow *OutcomeWire) outcome() (outcome, error) {
-	tc, err := Unmarshal(ow.TC)
-	if err != nil {
-		return outcome{}, err
-	}
-	return outcome{
-		tc:        tc,
+	o := outcome{
 		triggered: ow.Triggered,
 		finding:   ow.Finding,
+		diff:      ow.Diff && ow.Finding == nil,
 		cycles:    ow.Cycles,
 		intvls:    unsortIntvls(ow.Intvls),
-	}, nil
+	}
+	if ow.TC != "" {
+		tc, err := Unmarshal(ow.TC)
+		if err != nil {
+			return outcome{}, err
+		}
+		o.tc = tc
+	}
+	return o, nil
 }
 
 // LeaseResult is a worker's report for one executed lease: the batch's
 // outcomes in execution order, the seeds the batch retained (in retention
 // order), and the shard's post-batch RNG cursor. Its JSON encoding is
-// deterministic (testcases in Marshal form, interval maps point-sorted), so
-// re-executing the same lease produces byte-equal results — the property
-// that makes lease re-offers after worker churn safe.
+// deterministic (testcases in Marshal form, interval maps point-sorted, the
+// trimming fixed by Lease.Slots), so re-executing the same lease produces
+// byte-equal results — the property that makes lease re-offers after worker
+// churn safe.
 type LeaseResult struct {
 	// Shard echoes the lease's shard index.
 	Shard int `json:"shard"`
@@ -113,7 +141,9 @@ type LeaseResult struct {
 // only the seeds past Base), builds a fresh shard worker with the lease's
 // RNG cursor replayed and that corpus installed — exactly the state a local
 // replacement worker re-derives after a fault — and drains the batch
-// through the same runBatch path local workers use. Executing the same
+// through the same runBatch path local workers use. The result ships the
+// batch's first l.Slots findings in full and marks later timing
+// differences only (see OutcomeWire). Executing the same
 // lease twice returns equal results, so a lease lost to worker churn can
 // simply be re-offered. A GroupExecutor lease drains through the grouped
 // batch loop, whose RNG order is lane-width independent, so re-executions
@@ -151,8 +181,13 @@ func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease,
 		Cursor:   w.src.cursor(),
 		Outcomes: make([]OutcomeWire, len(outs)),
 	}
+	shipped := 0
 	for i := range outs {
-		res.Outcomes[i] = wireOutcome(&outs[i])
+		full := outs[i].finding != nil && shipped < l.Slots
+		if full {
+			shipped++
+		}
+		res.Outcomes[i] = wireOutcome(&outs[i], full)
 	}
 	for _, s := range w.takeNewSeeds() {
 		res.Seeds = append(res.Seeds, wireSeed(s))
@@ -280,7 +315,7 @@ func (lc *LeaseCoordinator) Lease(shard int, held CorpusPrefix) (*Lease, error) 
 		return nil, err
 	}
 	b := lc.b
-	l := &Lease{Shard: shard, Round: b.round + 1, N: b.next(shard), Cursor: b.cursors[shard]}
+	l := &Lease{Shard: shard, Round: b.round + 1, N: b.next(shard), Cursor: b.cursors[shard], Slots: lc.slots(shard)}
 	sums := b.prefixSums()
 	if held.Seeds > 0 && held.Seeds < len(sums) && sums[held.Seeds].String() == held.Sum {
 		l.Base, l.BaseSum = held.Seeds, held.Sum
@@ -289,9 +324,36 @@ func (lc *LeaseCoordinator) Lease(shard int, held CorpusPrefix) (*Lease, error) 
 	return l, nil
 }
 
+// slots is the number of findings a shard's lease result must ship in
+// full this round (Lease.Slots): the free finding slots as of the round's
+// start, or the whole batch when the campaign keeps every finding. The
+// fold keeps findings in worker order, so whatever this round keeps of a
+// shard's findings is among its first slots ones. The count depends only on
+// the last round barrier, so a re-offered lease and a resumed coordinator
+// compute the same value.
+func (lc *LeaseCoordinator) slots(shard int) int {
+	keep := lc.b.opt.KeepFindings
+	if keep == 0 {
+		return lc.b.next(shard)
+	}
+	return max(0, keep-len(lc.b.acc.st.Findings))
+}
+
+// CorpusPrefix returns the prefix of the merged global corpus as of the
+// last round barrier: what a worker holds once it has executed a lease
+// built now (its Base plus its seeds), and so the held prefix a later lease
+// to that worker can be a delta against.
+func (lc *LeaseCoordinator) CorpusPrefix() CorpusPrefix {
+	n := lc.b.global.Len()
+	return CorpusPrefix{Seeds: n, Sum: lc.b.prefixSums()[n].String()}
+}
+
 // Report folds one executed lease's result in. The result must belong to an
-// open shard of the current round and carry exactly the leased batch size;
-// a malformed or stale result is rejected without touching campaign state.
+// open shard of the current round and carry exactly the leased batch size.
+// It may be trimmed (see OutcomeWire), but the first Lease.Slots findings
+// must carry their detail and testcase, since the fold may keep them. A
+// malformed, stale or over-trimmed result is rejected without touching
+// campaign state.
 // When the last open shard of the round resolves, the round barrier closes:
 // seeds merge into the global corpus in canonical worker order, outcomes
 // fold into Stats, and the round's events are emitted.
@@ -308,11 +370,27 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if want := lc.b.next(res.Shard); len(res.Outcomes) != want {
 		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), want)
 	}
+	if res.Cursor < lc.b.cursors[res.Shard] {
+		return fmt.Errorf("fuzz: lease result cursor %d precedes the lease's %d", res.Cursor, lc.b.cursors[res.Shard])
+	}
+	points := len(lc.b.acc.an.Points)
+	slots := lc.slots(res.Shard)
 	outs := make([]outcome, len(res.Outcomes))
 	for i := range res.Outcomes {
 		o, err := res.Outcomes[i].outcome()
 		if err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
+		}
+		for _, id := range o.triggered {
+			if id < 0 || id >= points {
+				return fmt.Errorf("fuzz: lease result outcome %d triggers point %d outside [0, %d)", i, id, points)
+			}
+		}
+		if o.finding != nil || o.diff {
+			if slots > 0 && (o.finding == nil || o.tc == nil) {
+				return fmt.Errorf("fuzz: lease result outcome %d trims a finding the campaign may keep", i)
+			}
+			slots--
 		}
 		outs[i] = o
 	}
